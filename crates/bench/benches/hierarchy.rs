@@ -4,12 +4,12 @@
 //! Sweeps levels ∈ {2, 3, 4} × population ∈ {10⁴, 10⁶}. Every cell runs a
 //! full `smrp_faultlab::hierarchy` campaign: one `MultiSession` group per
 //! active recovery domain over the shared substrate, repairs installed
-//! through the explicit-plan seam, every case's complete message trace
-//! audited against the DomainLocality invariant. A cell is **clean** only
-//! if the campaign reports zero border crossings, full audit coverage and
-//! no member left unrestored — the headline being the 4-level cell serving
-//! a million aggregated receivers without a single cross-border control
-//! message.
+//! through the explicit-plan seam, every send of every case audited
+//! against the DomainLocality invariant as the simulator runs. A cell is
+//! **clean** only if the campaign reports zero border crossings, full
+//! audit coverage and no member left unrestored — the headline being the
+//! 4-level cell serving a million aggregated receivers without a single
+//! cross-border control message.
 //!
 //! The grid is reduced unless `SMRP_BENCH_FULL=1` (full sweep, the
 //! committed `BENCH_hierarchy.json`). `SMRP_HIERARCHY_CELL=LxP` (e.g.

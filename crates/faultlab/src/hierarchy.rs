@@ -10,7 +10,7 @@
 //! [`MultiSession`], the failure is injected into the shared simulator,
 //! and the domain-confined restoration paths are installed verbatim as
 //! recovery plans — the planner never sees topology outside the owning
-//! domain (`run_failure_planned_traced` is the seam).
+//! domain (`run_failure_planned` is the seam).
 //!
 //! Each domain's group models that domain's data plane: its root (the real
 //! source, or the domain's agent) feeds the domain's members, aggregated
@@ -22,8 +22,10 @@
 //!   stays inside that domain's session node set. For a new-agent
 //!   election the owner's corridor through the elected child (the
 //!   installed plan path) is the one sanctioned extension. The audit
-//!   parses the full simulator trace, so a single stray `Hello` across a
-//!   border fails the campaign;
+//!   ([`LocalityAudit`]) is a simulator observer that checks every send's
+//!   typed group tag as it happens, so a single stray `Hello` across a
+//!   border fails the campaign — and a case whose owner session sent
+//!   nothing the audit could check is *unaudited*, which fails it too;
 //! * **restoration** — every member the failure cut off regains service
 //!   within the run, timed from the injection;
 //! * **determinism** — reports depend only on the configuration: any
@@ -42,15 +44,11 @@ use smrp_metrics::{DomainRollup, LocalityHealth, Stats};
 use smrp_net::nlevel::{NLevelConfig, NLevelTopology};
 use smrp_net::transit_stub::DomainId;
 use smrp_net::{FailureScenario, GroupId, LinkId, NetError, NodeId};
-use smrp_proto::hierarchy::NLevelSession;
-use smrp_proto::{FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryPlan};
-use smrp_sim::{ChannelSpec, SimTime, TimerBackend, TraceEvent, TraceLog};
-
-/// Trace capacity per case. Hierarchy cases are small (hundreds of nodes,
-/// a handful of groups, sub-2-second horizons), so this holds the whole
-/// run; a case whose trace still overflows is reported *unaudited* and
-/// fails [`HierarchyReport::is_clean`].
-const TRACE_CAP: usize = 2_000_000;
+use smrp_proto::hierarchy::{NLevelSession, WirePlan};
+use smrp_proto::{
+    FailureTiming, GroupMsg, InjectionTiming, MultiRouter, MultiSession, ProtoSession, RecoveryPlan,
+};
+use smrp_sim::{ChannelSpec, SimObserver, SimTime, TimerBackend};
 
 /// Knobs of a hierarchical campaign. Serialized into the report header;
 /// job count and timer backend never enter the report.
@@ -222,7 +220,10 @@ pub struct HierarchyCaseResult {
     pub elections: u32,
     /// Domains the repair touched (0 = unaffected, 1 = confined).
     pub domains_involved: u32,
-    /// Whether the full trace was audited (the buffer did not overflow).
+    /// Whether the DomainLocality audit checked this case: true for cases
+    /// decided before the simulator, and for wire cases only when the
+    /// audit saw at least one send of the owner's session. A wire case
+    /// with nothing checked would pass vacuously, so it counts unaudited.
     pub audited: bool,
     /// Per-domain control spend and locality verdicts, in group order.
     pub domains: Vec<DomainSlice>,
@@ -245,6 +246,109 @@ pub struct HierarchyRun {
     pub active_domains: usize,
 }
 
+/// The sanctioned node set of every domain session of a campaign, in
+/// group order: the ground truth of the DomainLocality audit.
+#[derive(Debug)]
+pub struct DomainBorders {
+    /// `allowed[g][node]`: `node` is inside group `g`'s sanctioned set.
+    allowed: Vec<Vec<bool>>,
+}
+
+impl DomainBorders {
+    /// The session node sets of `domains` (group `g` runs `domains[g]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a domain in `domains` runs no session.
+    pub fn new(nsess: &NLevelSession, domains: &[DomainId]) -> Self {
+        let nodes = nsess.topology().graph().node_count();
+        let allowed = domains
+            .iter()
+            .map(|&d| {
+                let mut bits = vec![false; nodes];
+                for &n in nsess
+                    .domain_session_nodes(d)
+                    .expect("active domains have session nodes")
+                {
+                    bits[n.index()] = true;
+                }
+                bits
+            })
+            .collect();
+        DomainBorders { allowed }
+    }
+
+    /// A fresh audit of one case owned by group `owner`, whose installed
+    /// `plans` extend the owner's set by their corridors (a new-agent
+    /// election routes the owner through the elected child domain).
+    pub fn audit(&self, owner: usize, plans: &[WirePlan]) -> LocalityAudit<'_> {
+        let mut owner_allowed = self.allowed[owner].clone();
+        for n in plans.iter().flat_map(|p| &p.path) {
+            owner_allowed[n.index()] = true;
+        }
+        let groups = self.allowed.len();
+        LocalityAudit {
+            borders: self,
+            owner,
+            owner_allowed,
+            sends: vec![0; groups],
+            crossings: vec![0; groups],
+        }
+    }
+}
+
+/// The streaming DomainLocality audit of one case: a simulator observer
+/// that reads each send's group tag and checks both endpoints against
+/// that group's sanctioned node set.
+#[derive(Debug)]
+pub struct LocalityAudit<'b> {
+    borders: &'b DomainBorders,
+    owner: usize,
+    owner_allowed: Vec<bool>,
+    sends: Vec<u64>,
+    crossings: Vec<u64>,
+}
+
+impl LocalityAudit<'_> {
+    /// Whether `node` is inside group `group`'s sanctioned set for this
+    /// case.
+    pub fn allows(&self, group: usize, node: NodeId) -> bool {
+        let allowed = if group == self.owner {
+            &self.owner_allowed
+        } else {
+            &self.borders.allowed[group]
+        };
+        allowed[node.index()]
+    }
+
+    /// Sends checked so far, per group.
+    pub fn sends(&self) -> &[u64] {
+        &self.sends
+    }
+
+    /// Sends with an endpoint outside their group's set, per group.
+    pub fn crossings(&self) -> &[u64] {
+        &self.crossings
+    }
+
+    /// Whether the audit checked anything of the owner's session. An
+    /// affected case always puts owner traffic on the wire, so an audit
+    /// that saw none is vacuous.
+    pub fn audited(&self) -> bool {
+        self.sends[self.owner] > 0
+    }
+}
+
+impl SimObserver<MultiRouter> for LocalityAudit<'_> {
+    fn on_send(&mut self, _time: SimTime, from: NodeId, to: NodeId, msg: &GroupMsg) {
+        let g = msg.group.index();
+        self.sends[g] += 1;
+        if !self.allows(g, from) || !self.allows(g, to) {
+            self.crossings[g] += 1;
+        }
+    }
+}
+
 /// Everything shared by the per-case workers.
 struct Lab<'s> {
     cfg: &'s HierarchyConfig,
@@ -252,16 +356,7 @@ struct Lab<'s> {
     multi: &'s MultiSession<'s>,
     /// Active domain ids, in group order.
     domains: &'s [DomainId],
-    /// `allowed[g][node]`: `node` is inside group `g`'s sanctioned set.
-    allowed: &'s [Vec<bool>],
-}
-
-/// Parses the group id out of a traced message description
-/// (`"GroupMsg { group: GroupId(3), inner: ... }"`).
-fn trace_group(what: &str) -> Option<usize> {
-    let rest = what.strip_prefix("GroupMsg { group: GroupId(")?;
-    let end = rest.find(')')?;
-    rest[..end].parse().ok()
+    borders: &'s DomainBorders,
 }
 
 fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
@@ -336,42 +431,19 @@ fn evaluate_case(lab: &Lab<'_>, case: HierarchyCase) -> HierarchyCaseResult {
         })
         .collect();
 
-    let (report, trace) = lab.multi.run_failure_planned_traced(
+    // DomainLocality audit: every sent message of group `g` must stay
+    // inside `g`'s sanctioned node set, checked as the run goes.
+    let mut audit = lab.borders.audit(owner_group, &rec.plans);
+    let report = lab.multi.run_failure_planned(
         &scenario,
         &plans,
         InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(cfg.fail_at_ms))),
         &ChannelSpec::perfect(),
         SimTime::from_ms(cfg.run_until_ms),
-        TraceLog::new(TRACE_CAP),
+        &mut audit,
     );
-
-    // DomainLocality audit: every sent message of group `g` must stay
-    // inside `g`'s sanctioned node set. An election extends the *owner's*
-    // set by the installed corridor through the elected child domain.
-    let mut owner_allowed = lab.allowed[owner_group].clone();
-    for p in &rec.plans {
-        for n in &p.path {
-            owner_allowed[n.index()] = true;
-        }
-    }
-    let audited = trace.discarded() == 0;
-    let mut crossings = vec![0u64; lab.domains.len()];
-    for ev in trace.entries() {
-        let TraceEvent::Sent { from, to, what, .. } = ev else {
-            continue;
-        };
-        let Some(g) = trace_group(what) else {
-            continue;
-        };
-        let allowed = if g == owner_group {
-            &owner_allowed
-        } else {
-            &lab.allowed[g]
-        };
-        if !allowed[from.index()] || !allowed[to.index()] {
-            crossings[g] += 1;
-        }
-    }
+    let audited = audit.audited();
+    let mut crossings = audit.crossings().to_vec();
     // A failure leaking into another domain's *data plane* is a
     // confinement violation too: non-owner groups must be untouched.
     for (g, slice) in report.groups.iter().enumerate() {
@@ -501,22 +573,16 @@ pub fn run_hierarchy_with_backend(
     let graph = nsess.topology().graph();
     let domains = nsess.active_domain_ids();
 
-    let mut sessions = Vec::with_capacity(domains.len());
-    let mut allowed = Vec::with_capacity(domains.len());
-    for &d in &domains {
-        let tree = nsess
-            .domain_tree_global(d)
-            .expect("active domains have trees");
-        sessions.push(ProtoSession::from_tree(graph, tree));
-        let mut bits = vec![false; graph.node_count()];
-        for &n in nsess
-            .domain_session_nodes(d)
-            .expect("active domains have session nodes")
-        {
-            bits[n.index()] = true;
-        }
-        allowed.push(bits);
-    }
+    let sessions = domains
+        .iter()
+        .map(|&d| {
+            let tree = nsess
+                .domain_tree_global(d)
+                .expect("active domains have trees");
+            ProtoSession::from_tree(graph, tree)
+        })
+        .collect();
+    let borders = DomainBorders::new(&nsess, &domains);
     let mut multi = MultiSession::from_sessions(sessions);
     multi.set_timer_backend(backend);
 
@@ -526,7 +592,7 @@ pub fn run_hierarchy_with_backend(
         nsess: &nsess,
         multi: &multi,
         domains: &domains,
-        allowed: &allowed,
+        borders: &borders,
     };
 
     let total = cases.len();
@@ -808,13 +874,73 @@ mod tests {
         assert_eq!(report.config.levels, 2);
     }
 
+    /// Two groups on nodes 0..4: group 0 owns {0, 1}, group 1 owns {2, 3}.
+    fn two_borders() -> DomainBorders {
+        DomainBorders {
+            allowed: vec![
+                vec![true, true, false, false],
+                vec![false, false, true, true],
+            ],
+        }
+    }
+
+    fn hello(group: usize) -> GroupMsg {
+        GroupMsg {
+            group: GroupId::new(group),
+            inner: smrp_proto::ProtoMsg::Hello,
+        }
+    }
+
     #[test]
-    fn trace_group_parses_group_msg_descriptions() {
-        assert_eq!(
-            trace_group("GroupMsg { group: GroupId(3), inner: Hello }"),
-            Some(3)
-        );
-        assert_eq!(trace_group("Hello"), None);
+    fn audit_counts_a_cross_border_send() {
+        let borders = two_borders();
+        let mut audit = borders.audit(0, &[]);
+        let (t, n) = (SimTime::ZERO, NodeId::new);
+        audit.on_send(t, n(0), n(1), &hello(0));
+        audit.on_send(t, n(2), n(3), &hello(1));
+        audit.on_send(t, n(1), n(2), &hello(1));
+        assert_eq!(audit.sends(), &[1, 2]);
+        assert_eq!(audit.crossings(), &[0, 1]);
+        assert!(audit.audited());
+    }
+
+    #[test]
+    fn plan_corridors_extend_only_the_owner() {
+        let borders = two_borders();
+        let plan = WirePlan {
+            member: NodeId::new(1),
+            path: vec![NodeId::new(1), NodeId::new(2)],
+            delay_ms: 1.0,
+        };
+        let mut audit = borders.audit(0, &[plan]);
+        let (t, n) = (SimTime::ZERO, NodeId::new);
+        audit.on_send(t, n(1), n(2), &hello(0));
+        audit.on_send(t, n(1), n(2), &hello(1));
+        assert_eq!(audit.crossings(), &[0, 1]);
+    }
+
+    #[test]
+    fn an_audit_fed_nothing_leaves_the_case_unaudited() {
+        let borders = two_borders();
+        let mut audit = borders.audit(1, &[]);
+        assert!(!audit.audited());
+        // Other groups' traffic does not audit the owner's session.
+        audit.on_send(SimTime::ZERO, NodeId::new(0), NodeId::new(1), &hello(0));
+        assert!(!audit.audited());
+
+        // An unaudited case keeps the campaign from being clean.
+        let run = run_hierarchy(&small(), 1).unwrap();
+        assert!(HierarchyReport::from_run(&run).is_clean());
+        let mut broken = run.clone();
+        let wire = broken
+            .results
+            .iter_mut()
+            .find(|r| r.restored > 0)
+            .expect("the campaign puts repairs on the wire");
+        wire.audited = audit.audited();
+        let report = HierarchyReport::from_run(&broken);
+        assert_eq!(report.locality.cases_unaudited, 1);
+        assert!(!report.is_clean());
     }
 
     #[test]

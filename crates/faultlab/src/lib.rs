@@ -36,8 +36,9 @@
 //! * [`hierarchy`] — wire-level campaigns over N-level recovery domains
 //!   with aggregated member populations: every active domain's session
 //!   runs as one group of a shared-substrate `MultiSession`, repairs are
-//!   installed via the explicit-plan seam, and every case's full message
-//!   trace is audited against the DomainLocality confinement invariant;
+//!   installed via the explicit-plan seam, and a simulator observer
+//!   checks every send of every case against the DomainLocality
+//!   confinement invariant as the run goes;
 //! * [`protect`] — the protection-vs-restoration axis: SMRP with
 //!   precomputed, locally-activated backup detours against SMRP with
 //!   on-demand detour search, swept over single-link, single-node and
@@ -77,8 +78,9 @@ pub use generate::{
     GeneratorConfig, Timing,
 };
 pub use hierarchy::{
-    run_hierarchy, run_hierarchy_with_backend, DomainSlice, HierarchyCase, HierarchyCaseResult,
-    HierarchyConfig, HierarchyLatency, HierarchyOutcome, HierarchyReport, HierarchyRun,
+    run_hierarchy, run_hierarchy_with_backend, DomainBorders, DomainSlice, HierarchyCase,
+    HierarchyCaseResult, HierarchyConfig, HierarchyLatency, HierarchyOutcome, HierarchyReport,
+    HierarchyRun, LocalityAudit,
 };
 pub use protect::{
     evaluate_protect, run_protect, LossPointSummary, ModeOutcomeRow, ModeSummary, ProtectCase,

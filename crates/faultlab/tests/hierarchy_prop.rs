@@ -6,8 +6,8 @@
 //! * **DomainLocality on the wire** — an intra-domain link failure is
 //!   repaired without a single control message crossing the owning
 //!   domain's border, and without an election. The check runs the repair
-//!   through the message-level simulator and audits the full trace; the
-//!   restoration paths themselves must also stay inside the owning
+//!   through the message-level simulator under an observer that checks
+//!   every send's typed group tag; the restoration paths themselves must also stay inside the owning
 //!   domain's node set (plus its session members), so a whitelisted
 //!   detour can't hide a leak.
 //! * **Population-weighted SHR bookkeeping** — after arbitrary
@@ -23,15 +23,17 @@ use rand::{Rng, SeedableRng};
 use smrp_core::SmrpConfig;
 use smrp_faultlab::HierarchyConfig;
 use smrp_net::nlevel::NLevelTopology;
-use smrp_net::{FailureScenario, GroupId, LinkId};
+use smrp_net::{FailureScenario, GroupId, LinkId, NodeId};
 use smrp_proto::hierarchy::NLevelSession;
-use smrp_proto::{FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryPlan};
-use smrp_sim::{ChannelSpec, SimTime, TraceEvent, TraceLog};
+use smrp_proto::{
+    FailureTiming, GroupMsg, InjectionTiming, MultiRouter, MultiSession, ProtoSession, RecoveryPlan,
+};
+use smrp_sim::{ChannelSpec, SimObserver, SimTime};
 
 fn config(seed: u64, levels: u32) -> HierarchyConfig {
     // Deep trees multiply domains (hence groups and data traffic); keep
-    // the per-level dimensions small enough that a full wire trace fits
-    // its buffer even at levels = 4.
+    // the per-level dimensions small so a case stays cheap even at
+    // levels = 4.
     let deep = levels >= 4;
     HierarchyConfig {
         levels,
@@ -55,9 +57,23 @@ fn build(cfg: &HierarchyConfig) -> (NLevelTopology, NLevelSession) {
     (topo, nsess)
 }
 
-fn trace_group(what: &str) -> Option<usize> {
-    let rest = what.strip_prefix("GroupMsg { group: GroupId(")?;
-    rest[..rest.find(')')?].parse().ok()
+/// Checks every send against `inside(group, node)`, keeping the first
+/// message that crosses its group's border.
+struct BorderCheck<F> {
+    inside: F,
+    sends: u64,
+    first_crossing: Option<(GroupMsg, NodeId, NodeId)>,
+}
+
+impl<F: Fn(usize, NodeId) -> bool> SimObserver<MultiRouter> for BorderCheck<F> {
+    fn on_send(&mut self, _time: SimTime, from: NodeId, to: NodeId, msg: &GroupMsg) {
+        self.sends += 1;
+        let g = msg.group.index();
+        let crossed = !(self.inside)(g, from) || !(self.inside)(g, to);
+        if crossed && self.first_crossing.is_none() {
+            self.first_crossing = Some((msg.clone(), from, to));
+        }
+    }
 }
 
 proptest! {
@@ -108,7 +124,7 @@ proptest! {
             }
         }
 
-        // Put the repair on the wire and audit the whole trace.
+        // Put the repair on the wire and audit every send.
         let sessions: Vec<_> = domains
             .iter()
             .map(|&d| ProtoSession::from_tree(graph, nsess.domain_tree_global(d).unwrap()))
@@ -128,29 +144,29 @@ proptest! {
                 },
             ))
             .collect();
-        let (report, trace) = multi.run_failure_planned_traced(
+        let mut check = BorderCheck {
+            inside: |g: usize, n: NodeId| {
+                nsess.domain_session_nodes(domains[g]).unwrap().contains(&n)
+                    || (g == owner_group && topo.domain_of(n) == rec.owner)
+            },
+            sends: 0,
+            first_crossing: None,
+        };
+        let report = multi.run_failure_planned(
             &FailureScenario::link(link),
             &plans,
             InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
             &ChannelSpec::perfect(),
             SimTime::from_ms(cfg.run_until_ms),
-            TraceLog::new(2_000_000),
+            &mut check,
         );
         prop_assert!(report.groups[owner_group].all_restored());
-        prop_assert_eq!(trace.discarded(), 0, "trace overflowed; audit incomplete");
-        for ev in trace.entries() {
-            let TraceEvent::Sent { from, to, what, .. } = ev else { continue };
-            let Some(g) = trace_group(what) else { continue };
-            let allowed = nsess.domain_session_nodes(domains[g]).unwrap();
-            let inside = |n: smrp_net::NodeId| {
-                allowed.contains(&n)
-                    || (g == owner_group && topo.domain_of(n) == rec.owner)
-            };
-            prop_assert!(
-                inside(*from) && inside(*to),
-                "control message crossed a border: {what} on {from:?}->{to:?}"
-            );
-        }
+        prop_assert!(check.sends > 0, "nothing was sent; the audit is vacuous");
+        prop_assert!(
+            check.first_crossing.is_none(),
+            "control message crossed a border: {:?}",
+            check.first_crossing
+        );
     }
 
     #[test]

@@ -183,7 +183,7 @@ pub struct DomainRecovery {
     /// New-agent elections performed (empty for a confined repair).
     pub elections: Vec<AgentElection>,
     /// Wire-installable plans, one per disconnected fragment root — the
-    /// seam into `MultiSession::run_failure_planned_traced`.
+    /// seam into `MultiSession::run_failure_planned`.
     pub plans: Vec<WirePlan>,
 }
 

@@ -26,8 +26,8 @@ use smrp_core::recovery::{self, DetourKind};
 use smrp_metrics::ControlHealth;
 use smrp_net::{FailureScenario, Graph, GroupId, NodeId};
 use smrp_sim::{
-    ChannelModel, ChannelSpec, Ctx, NetSim, NodeBehavior, NodeCommand, SimTime, TimerBackend,
-    TraceLog,
+    ChannelModel, ChannelSpec, Ctx, NetSim, NodeBehavior, NodeCommand, SimObserver, SimTime,
+    TimerBackend, TraceLog,
 };
 
 use crate::messages::{GroupMsg, GroupTimer};
@@ -354,15 +354,8 @@ impl<'g> MultiSession<'g> {
         channel: &ChannelSpec,
         until: SimTime,
     ) -> MultiRecoveryReport {
-        self.run_failure_spec_traced(
-            scenario,
-            strategy,
-            timing,
-            channel,
-            until,
-            TraceLog::disabled(),
-        )
-        .0
+        self.run_failure_capture(scenario, strategy, timing, channel, until)
+            .0
     }
 
     /// [`run_failure_spec`](Self::run_failure_spec) that also returns the
@@ -375,10 +368,16 @@ impl<'g> MultiSession<'g> {
         timing: InjectionTiming,
         channel: &ChannelSpec,
         until: SimTime,
-        trace: TraceLog,
+        mut trace: TraceLog,
     ) -> (MultiRecoveryReport, TraceLog) {
-        let (report, trace, _procs) =
-            self.run_failure_capture_traced(scenario, strategy, timing, channel, until, trace);
+        let (report, _procs) = self.run_failure_inner(
+            scenario,
+            PlanSource::Strategy(strategy),
+            timing,
+            channel,
+            until,
+            &mut trace,
+        );
         (report, trace)
     }
 
@@ -396,27 +395,50 @@ impl<'g> MultiSession<'g> {
         channel: &ChannelSpec,
         until: SimTime,
     ) -> (MultiRecoveryReport, Vec<MultiRouter>) {
-        let (report, _trace, procs) = self.run_failure_capture_traced(
+        self.run_failure_inner(
             scenario,
-            strategy,
+            PlanSource::Strategy(strategy),
             timing,
             channel,
             until,
             TraceLog::disabled(),
-        );
-        (report, procs)
+        )
     }
 
     /// Runs the shared failure experiment with externally supplied
     /// recovery plans instead of plans derived from a
     /// [`RecoveryStrategy`] over the whole graph. Each `(group, member,
     /// plan)` triple is installed verbatim into that member's lane for
-    /// that group; no global planning happens at all.
+    /// that group; no global planning happens at all. `observer` sees
+    /// every send, delivery, drop and timer of the run, typed.
     ///
     /// This is the hierarchical-recovery seam: restoration paths computed
     /// *inside* the owning recovery domain (see
     /// [`crate::hierarchy::NLevelSession::recover`]) go onto the wire
-    /// without the planner ever seeing topology outside the domain.
+    /// without the planner ever seeing topology outside the domain, and
+    /// the campaign's locality audit watches the run as it happens.
+    pub fn run_failure_planned(
+        &self,
+        scenario: &FailureScenario,
+        plans: &[(GroupId, NodeId, RecoveryPlan)],
+        timing: InjectionTiming,
+        channel: &ChannelSpec,
+        until: SimTime,
+        observer: &mut dyn SimObserver<MultiRouter>,
+    ) -> MultiRecoveryReport {
+        self.run_failure_inner(
+            scenario,
+            PlanSource::Explicit(plans),
+            timing,
+            channel,
+            until,
+            observer,
+        )
+        .0
+    }
+
+    /// [`run_failure_planned`](Self::run_failure_planned) recording the
+    /// run into `trace`.
     pub fn run_failure_planned_traced(
         &self,
         scenario: &FailureScenario,
@@ -424,47 +446,23 @@ impl<'g> MultiSession<'g> {
         timing: InjectionTiming,
         channel: &ChannelSpec,
         until: SimTime,
-        trace: TraceLog,
+        mut trace: TraceLog,
     ) -> (MultiRecoveryReport, TraceLog) {
-        let (report, trace, _procs) = self.run_failure_inner(
-            scenario,
-            PlanSource::Explicit(plans),
-            timing,
-            channel,
-            until,
-            trace,
-        );
+        let report = self.run_failure_planned(scenario, plans, timing, channel, until, &mut trace);
         (report, trace)
     }
 
-    fn run_failure_capture_traced(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-        trace: TraceLog,
-    ) -> (MultiRecoveryReport, TraceLog, Vec<MultiRouter>) {
-        self.run_failure_inner(
-            scenario,
-            PlanSource::Strategy(strategy),
-            timing,
-            channel,
-            until,
-            trace,
-        )
-    }
-
-    fn run_failure_inner(
+    /// The one failure runner behind every public entry point; `observer`
+    /// is generic so the untraced campaign runs pay no dynamic dispatch.
+    fn run_failure_inner<O: SimObserver<MultiRouter>>(
         &self,
         scenario: &FailureScenario,
         plans: PlanSource<'_>,
         timing: InjectionTiming,
         channel: &ChannelSpec,
         until: SimTime,
-        trace: TraceLog,
-    ) -> (MultiRecoveryReport, TraceLog, Vec<MultiRouter>) {
+        observer: O,
+    ) -> (MultiRecoveryReport, Vec<MultiRouter>) {
         let fail_at = timing.fail_at();
         let config = self.sessions[0]
             .router_config()
@@ -518,9 +516,8 @@ impl<'g> MultiSession<'g> {
             }
         }
 
-        let mut sim = NetSim::new(self.graph, procs);
+        let mut sim = NetSim::with_observer(self.graph, procs, observer);
         sim.set_timer_backend(self.timer_backend);
-        sim.set_trace(trace);
         if !channel.is_perfect() {
             sim.set_channel(Some(ChannelModel::new(channel)));
         }
@@ -617,8 +614,7 @@ impl<'g> MultiSession<'g> {
             messages_delivered: sim.delivered_count(),
             messages_dropped: sim.dropped_count(),
         };
-        let trace = sim.trace().clone();
-        (report, trace, sim.into_nodes())
+        (report, sim.into_nodes())
     }
 }
 

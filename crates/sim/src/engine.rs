@@ -7,8 +7,9 @@ use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
 
 use crate::channel::{ChannelModel, ChannelStats};
 use crate::event::EventQueue;
+use crate::observer::SimObserver;
 use crate::time::SimTime;
-use crate::trace::{DropReason, TraceEvent, TraceLog};
+use crate::trace::{DropReason, TraceLog};
 use crate::wheel::{TimerHandle, TimerWheel};
 
 /// An engine-issued identity for one armed timer.
@@ -322,7 +323,8 @@ enum SimEvent<M, T> {
 }
 
 /// The network simulator: a [`Graph`], one [`NodeBehavior`] per node, an
-/// event queue and a failure mask.
+/// event queue, a failure mask and a [`SimObserver`] that sees every send,
+/// delivery, drop and timer (by default a [`TraceLog`]).
 ///
 /// # Example
 ///
@@ -353,7 +355,7 @@ enum SimEvent<M, T> {
 /// # Ok(())
 /// # }
 /// ```
-pub struct NetSim<'g, N: NodeBehavior> {
+pub struct NetSim<'g, N: NodeBehavior, O = TraceLog> {
     graph: &'g Graph,
     nodes: Vec<N>,
     queue: EventQueue<SimEvent<N::Msg, N::Timer>>,
@@ -375,7 +377,7 @@ pub struct NetSim<'g, N: NodeBehavior> {
     now: SimTime,
     failures: FailureScenario,
     processing_delay: SimTime,
-    trace: TraceLog,
+    observer: O,
     channel: Option<ChannelModel>,
     delivered: u64,
     dropped: DropCounts,
@@ -389,6 +391,30 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     ///
     /// Panics if `nodes.len()` differs from the graph's node count.
     pub fn new(graph: &'g Graph, nodes: Vec<N>) -> Self {
+        NetSim::with_observer(graph, nodes, TraceLog::new(4096))
+    }
+
+    /// Replaces the trace log (e.g. [`TraceLog::disabled`] for long runs).
+    pub fn set_trace(&mut self, trace: TraceLog) {
+        self.observer = trace;
+    }
+
+    /// The trace recorded so far.
+    pub fn trace(&self) -> &TraceLog {
+        &self.observer
+    }
+}
+
+impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
+    /// Creates a simulator with one behavior per graph node (in node-id
+    /// order) that reports every send, delivery, drop and timer to
+    /// `observer`. Pass `&mut observer` to keep the observer after the
+    /// simulator is gone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len()` differs from the graph's node count.
+    pub fn with_observer(graph: &'g Graph, nodes: Vec<N>, observer: O) -> Self {
         assert_eq!(
             nodes.len(),
             graph.node_count(),
@@ -407,7 +433,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
             now: SimTime::ZERO,
             failures: FailureScenario::none(),
             processing_delay: SimTime::ZERO,
-            trace: TraceLog::new(4096),
+            observer,
             channel: None,
             delivered: 0,
             dropped: DropCounts::default(),
@@ -438,11 +464,6 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         let s = self.seq;
         self.seq += 1;
         s
-    }
-
-    /// Replaces the trace log (e.g. [`TraceLog::disabled`] for long runs).
-    pub fn set_trace(&mut self, trace: TraceLog) {
-        self.trace = trace;
     }
 
     /// Installs a degraded channel; subsequent sends pass through it.
@@ -482,11 +503,6 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     /// The current failure scenario.
     pub fn failures(&self) -> &FailureScenario {
         &self.failures
-    }
-
-    /// The trace recorded so far.
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
     }
 
     /// Messages delivered so far.
@@ -562,15 +578,11 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         self.apply(id, commands);
     }
 
-    /// The single drop site: counts the drop under its cause and traces it.
+    /// The single drop site: counts the drop under its cause and reports
+    /// it to the observer.
     fn drop_msg(&mut self, time: SimTime, from: NodeId, to: NodeId, reason: DropReason) {
         self.dropped.record(reason);
-        self.trace.push(TraceEvent::Dropped {
-            time,
-            from,
-            to,
-            reason,
-        });
+        self.observer.on_drop(time, from, to, reason);
     }
 
     fn apply(&mut self, from: NodeId, commands: Vec<NodeCommand<N::Msg, N::Timer>>) {
@@ -585,14 +597,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                         self.drop_msg(self.now, from, to, DropReason::NotAdjacent);
                         continue;
                     };
-                    if self.trace.is_enabled() {
-                        self.trace.push(TraceEvent::Sent {
-                            time: self.now,
-                            from,
-                            to,
-                            what: format!("{msg:?}"),
-                        });
-                    }
+                    self.observer.on_send(self.now, from, to, &msg);
                     // The degraded channel may lose the message, duplicate
                     // it, or stretch its delay; a perfect channel delivers
                     // exactly one copy with no extra delay.
@@ -676,13 +681,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
         if !self.failures.node_usable(node) {
             return;
         }
-        if self.trace.is_enabled() {
-            self.trace.push(TraceEvent::TimerFired {
-                time,
-                node,
-                what: format!("{timer:?}"),
-            });
-        }
+        self.observer.on_timer(time, node, &timer);
         self.with_node(node, |n, ctx| n.on_timer(ctx, timer));
     }
 
@@ -724,14 +723,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
                     return true;
                 }
                 self.delivered += 1;
-                if self.trace.is_enabled() {
-                    self.trace.push(TraceEvent::Delivered {
-                        time,
-                        from,
-                        to,
-                        what: format!("{msg:?}"),
-                    });
-                }
+                self.observer.on_deliver(time, from, to, &msg);
                 self.with_node(to, |n, ctx| n.on_message(ctx, from, msg));
             }
             SimEvent::Timer { node, timer, token } => {
@@ -780,7 +772,7 @@ impl<'g, N: NodeBehavior> NetSim<'g, N> {
     }
 }
 
-impl<'g, N: NodeBehavior> std::fmt::Debug for NetSim<'g, N> {
+impl<'g, N: NodeBehavior, O> std::fmt::Debug for NetSim<'g, N, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetSim")
             .field("now", &self.now)
@@ -795,6 +787,7 @@ impl<'g, N: NodeBehavior> std::fmt::Debug for NetSim<'g, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
 
     /// Counts received pings and echoes them back once.
     #[derive(Default)]
@@ -1074,6 +1067,83 @@ mod tests {
         let wheel = run(TimerBackend::Wheel);
         let reference = run(TimerBackend::ReferenceHeap);
         assert_eq!(wheel, reference);
+    }
+
+    /// Counts each observer hook, reading message payloads as types.
+    #[derive(Default, Debug, PartialEq)]
+    struct Tally {
+        sends: u32,
+        pongs_sent: u32,
+        delivers: u32,
+        drops: u32,
+        timers: u32,
+    }
+
+    impl SimObserver<PingPong> for Tally {
+        fn on_send(&mut self, _: SimTime, _: NodeId, _: NodeId, msg: &Msg) {
+            self.sends += 1;
+            self.pongs_sent += u32::from(matches!(msg, Msg::Pong));
+        }
+        fn on_deliver(&mut self, _: SimTime, _: NodeId, _: NodeId, _: &Msg) {
+            self.delivers += 1;
+        }
+        fn on_drop(&mut self, _: SimTime, _: NodeId, _: NodeId, _: DropReason) {
+            self.drops += 1;
+        }
+        fn on_timer(&mut self, _: SimTime, _: NodeId, _: &u8) {
+            self.timers += 1;
+        }
+    }
+
+    /// Pings both ends of the line, a non-adjacent pair, and a neighbor
+    /// whose link fails mid-flight, with a timer chain on the side.
+    fn observed_run<O: SimObserver<PingPong>>(g: &Graph, ids: &[NodeId], observer: O) {
+        let mut sim = NetSim::with_observer(g, fresh(g), observer);
+        sim.with_node(ids[1], |_, ctx| {
+            ctx.send(ids[0], Msg::Ping);
+            ctx.send(ids[2], Msg::Ping);
+            ctx.set_timer(SimTime::from_ms(1.0), 1);
+        });
+        sim.with_node(ids[0], |_, ctx| ctx.send(ids[2], Msg::Ping));
+        sim.schedule_link_failure(
+            SimTime::from_ms(2.5),
+            g.link_between(ids[1], ids[2]).unwrap(),
+        );
+        sim.run_to_completion(100);
+    }
+
+    #[test]
+    fn typed_observer_sees_exactly_what_the_trace_records() {
+        let (g, ids) = line_graph();
+        let mut tally = Tally::default();
+        observed_run(&g, &ids, &mut tally);
+        let mut trace = TraceLog::new(1024);
+        observed_run(&g, &ids, &mut trace);
+        let mut from_trace = Tally::default();
+        for e in trace.entries() {
+            match e {
+                TraceEvent::Sent { what, .. } => {
+                    from_trace.sends += 1;
+                    from_trace.pongs_sent += u32::from(what == "Pong");
+                }
+                TraceEvent::Delivered { .. } => from_trace.delivers += 1,
+                TraceEvent::Dropped { .. } => from_trace.drops += 1,
+                TraceEvent::TimerFired { .. } => from_trace.timers += 1,
+            }
+        }
+        assert_eq!(tally, from_trace);
+        // Ping to n0 delivered and ponged; ping to n2 lost to the cut; the
+        // non-adjacent ping dropped before it was sent; two timers.
+        assert_eq!(
+            tally,
+            Tally {
+                sends: 3,
+                pongs_sent: 1,
+                delivers: 2,
+                drops: 2,
+                timers: 2,
+            }
+        );
     }
 
     #[test]

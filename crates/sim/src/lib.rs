@@ -21,7 +21,9 @@
 //!   failed nodes neither process nor send;
 //! * an optional degraded channel ([`ChannelModel`]) adding seeded
 //!   per-link loss, duplication, reordering and latency jitter;
-//! * a bounded trace of everything that happened, for tests and the
+//! * a typed observer seam ([`SimObserver`]) that sees every send,
+//!   delivery, drop and timer with its payload; the bounded [`TraceLog`]
+//!   is the observer that renders them for tests and the
 //!   `protocol_trace` example.
 //!
 //! Protocol logic plugs in through the [`NodeBehavior`] trait; see
@@ -31,6 +33,7 @@ pub mod channel;
 pub mod clock;
 pub mod engine;
 pub mod event;
+pub mod observer;
 pub mod time;
 pub mod trace;
 pub mod wheel;
@@ -39,6 +42,7 @@ pub use channel::{ChannelModel, ChannelParams, ChannelSpec, ChannelStats, LinkDe
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use engine::{Ctx, DropCounts, NetSim, NodeBehavior, NodeCommand, TimerBackend, TimerToken};
 pub use event::EventQueue;
+pub use observer::SimObserver;
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{DropReason, TraceEvent, TraceLog};
 pub use wheel::{TimerHandle, TimerWheel};

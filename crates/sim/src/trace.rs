@@ -2,6 +2,8 @@
 
 use smrp_net::NodeId;
 
+use crate::engine::NodeBehavior;
+use crate::observer::SimObserver;
 use crate::time::SimTime;
 
 /// One traced occurrence in the simulation.
@@ -91,8 +93,11 @@ impl std::fmt::Display for DropReason {
     }
 }
 
-/// A bounded in-memory trace; older entries are discarded once the cap is
-/// reached (the count of discarded entries is retained).
+/// A bounded in-memory trace; entries past the cap are discarded (the
+/// count of discarded entries is retained).
+///
+/// As a [`SimObserver`] it renders every send, delivery and timer payload
+/// with its `Debug` form, and records drops with their reason.
 #[derive(Debug, Clone)]
 pub struct TraceLog {
     entries: Vec<TraceEvent>,
@@ -116,12 +121,27 @@ impl TraceLog {
         TraceLog::new(0)
     }
 
-    /// Whether this log records at all. The engine skips building trace
-    /// events (which involves formatting message payloads) entirely for
-    /// disabled logs, so long campaign runs pay no tracing cost.
+    /// Whether this log records at all. A disabled log never formats a
+    /// message or timer payload, so long campaign runs pay no tracing
+    /// cost.
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.capacity > 0
+    }
+
+    /// Records the event `build` renders, if the log is enabled. A full
+    /// log counts the event as discarded without building it, so payloads
+    /// past the cap are never formatted.
+    #[inline]
+    fn record(&mut self, build: impl FnOnce() -> TraceEvent) {
+        if !self.is_enabled() {
+            return;
+        }
+        if self.entries.len() >= self.capacity {
+            self.discarded += 1;
+            return;
+        }
+        self.entries.push(build());
     }
 
     /// Records an event.
@@ -154,6 +174,45 @@ impl TraceLog {
     }
 }
 
+impl<N: NodeBehavior> SimObserver<N> for TraceLog {
+    fn on_send(&mut self, time: SimTime, from: NodeId, to: NodeId, msg: &N::Msg) {
+        self.record(|| TraceEvent::Sent {
+            time,
+            from,
+            to,
+            what: format!("{msg:?}"),
+        });
+    }
+
+    fn on_deliver(&mut self, time: SimTime, from: NodeId, to: NodeId, msg: &N::Msg) {
+        self.record(|| TraceEvent::Delivered {
+            time,
+            from,
+            to,
+            what: format!("{msg:?}"),
+        });
+    }
+
+    /// Drops are recorded even by a disabled log, which counts them as
+    /// discarded.
+    fn on_drop(&mut self, time: SimTime, from: NodeId, to: NodeId, reason: DropReason) {
+        self.push(TraceEvent::Dropped {
+            time,
+            from,
+            to,
+            reason,
+        });
+    }
+
+    fn on_timer(&mut self, time: SimTime, node: NodeId, timer: &N::Timer) {
+        self.record(|| TraceEvent::TimerFired {
+            time,
+            node,
+            what: format!("{timer:?}"),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +242,57 @@ mod tests {
         log.push(ev(1.0));
         assert!(log.is_empty());
         assert_eq!(log.discarded(), 1);
+    }
+
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// How often a [`Counted`] payload was rendered.
+    static RENDERS: AtomicU32 = AtomicU32::new(0);
+
+    /// A payload that counts its renderings.
+    #[derive(Clone)]
+    struct Counted;
+
+    impl std::fmt::Debug for Counted {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            RENDERS.fetch_add(1, Ordering::Relaxed);
+            f.write_str("counted")
+        }
+    }
+
+    struct Quiet;
+
+    impl NodeBehavior for Quiet {
+        type Msg = Counted;
+        type Timer = Counted;
+        fn on_message(&mut self, _: &mut crate::Ctx<'_, Self>, _: NodeId, _: Counted) {}
+        fn on_timer(&mut self, _: &mut crate::Ctx<'_, Self>, _: Counted) {}
+    }
+
+    #[test]
+    fn full_log_counts_without_formatting() {
+        let (t, n) = (SimTime::ZERO, NodeId::new(0));
+        let mut log = TraceLog::new(1);
+        let obs: &mut dyn SimObserver<Quiet> = &mut log;
+        obs.on_send(t, n, n, &Counted);
+        obs.on_deliver(t, n, n, &Counted);
+        obs.on_timer(t, n, &Counted);
+        assert_eq!(
+            RENDERS.load(Ordering::Relaxed),
+            1,
+            "only the kept entry renders"
+        );
+        assert_eq!((log.len(), log.discarded()), (1, 2));
+
+        let mut off = TraceLog::disabled();
+        let obs: &mut dyn SimObserver<Quiet> = &mut off;
+        obs.on_send(t, n, n, &Counted);
+        assert_eq!(
+            RENDERS.load(Ordering::Relaxed),
+            1,
+            "a disabled log renders nothing"
+        );
+        assert_eq!(off.discarded(), 0);
     }
 
     #[test]
