@@ -15,8 +15,8 @@ use std::hint::black_box;
 use smrp_core::SmrpConfig;
 use smrp_net::{FailureScenario, Graph, NodeId};
 use smrp_proto::{
-    FailureTiming, InjectionTiming, ProtoSession, RecoveryStrategy, Router, RouterConfig,
-    TreeProtocol,
+    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, Router,
+    RouterConfig, TreeProtocol,
 };
 use smrp_sim::{ChannelSpec, NetSim, SimTime, TimerBackend, TimerWheel};
 
@@ -108,16 +108,17 @@ fn bench_recovery_run(c: &mut Criterion) {
         (TimerBackend::ReferenceHeap, "reference_heap"),
     ] {
         c.bench_function(&format!("engine/figure1_recovery_{name}"), |b| {
-            let mut session = ProtoSession::build(
+            let session = ProtoSession::build(
                 &graph,
                 nodes.s,
                 &[nodes.c, nodes.d],
                 TreeProtocol::Smrp(SmrpConfig::default()),
             )
             .unwrap();
-            session.set_timer_backend(backend);
+            let mut multi = MultiSession::from_sessions(vec![session]);
+            multi.set_timer_backend(backend);
             b.iter(|| {
-                let report = session.run_failure_spec(
+                let report = multi.run_failure_spec(
                     &scenario,
                     RecoveryStrategy::LocalDetour,
                     InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
@@ -125,7 +126,7 @@ fn bench_recovery_run(c: &mut Criterion) {
                     SimTime::from_ms(3000.0),
                 );
                 assert!(report.all_restored());
-                black_box(report.restorations.len())
+                black_box(report.groups[0].restorations.len())
             })
         });
     }

@@ -61,7 +61,8 @@
 //! * `--groups M` — concurrent multicast sessions over one topology
 //!   (default 1); every fault case is injected once against all of them;
 //! * `--seed S` — base seed (default 0x5EED);
-//! * `--jobs N` — worker threads (default: available parallelism);
+//! * `--jobs N` — worker threads, at least 1 (default: available
+//!   parallelism);
 //! * `--out PATH` — report path (default `results/faultlab.json`).
 //!
 //! The report depends only on the configuration — never on `--jobs`, the
@@ -387,6 +388,9 @@ fn parse_args() -> Result<Args, String> {
                 jobs = value("--jobs")?
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?;
+                if jobs == 0 {
+                    return Err("--jobs expects at least 1 worker".into());
+                }
             }
             "--out" => {
                 out = Some(value("--out")?.into());

@@ -12,8 +12,10 @@ use smrp_metrics::csvout::Csv;
 use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
 use smrp_net::FailureScenario;
-use smrp_proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
-use smrp_sim::SimTime;
+use smrp_proto::{
+    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
+};
+use smrp_sim::{ChannelSpec, SimTime};
 
 use crate::measure::smrp_config;
 use crate::scenario::ScenarioConfig;
@@ -92,18 +94,18 @@ pub fn run(effort: Effort) -> LatencyResult {
         {
             continue;
         }
-        let fail_at = SimTime::from_ms(200.0);
-        let until = SimTime::from_ms(RECONVERGENCE_MS + 5_000.0);
-
-        let local = session.run_failure(&fail, RecoveryStrategy::LocalDetour, fail_at, until);
-        let global = session.run_failure(
-            &fail,
-            RecoveryStrategy::GlobalDetour {
-                reconvergence: SimTime::from_ms(RECONVERGENCE_MS),
-            },
-            fail_at,
-            until,
-        );
+        let multi = MultiSession::from_sessions(vec![session]);
+        let run = |strategy| {
+            let timing = InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(200.0)));
+            let until = SimTime::from_ms(RECONVERGENCE_MS + 5_000.0);
+            let mut report =
+                multi.run_failure_spec(&fail, strategy, timing, &ChannelSpec::perfect(), until);
+            report.groups.remove(0)
+        };
+        let local = run(RecoveryStrategy::LocalDetour);
+        let global = run(RecoveryStrategy::GlobalDetour {
+            reconvergence: SimTime::from_ms(RECONVERGENCE_MS),
+        });
         ran += 1;
         for (_, latency) in &local.restorations {
             if let Some(t) = latency {

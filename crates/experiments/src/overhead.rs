@@ -10,7 +10,7 @@
 use smrp_metrics::csvout::Csv;
 use smrp_metrics::table::Table;
 use smrp_metrics::Stats;
-use smrp_proto::{ProtoSession, TreeProtocol};
+use smrp_proto::{MultiSession, ProtoSession, TreeProtocol};
 use smrp_sim::SimTime;
 
 use crate::measure::smrp_config;
@@ -72,7 +72,7 @@ pub fn run(effort: Effort) -> OverheadResult {
                 protocol,
             )
             .expect("session builds");
-            let report = session.run_steady(window);
+            let report = MultiSession::from_sessions(vec![session]).run_steady(window);
             if report.control_per_delivery().is_finite() {
                 row.control_per_delivery.push(report.control_per_delivery());
             }

@@ -13,8 +13,10 @@ use smrp_metrics::csvout::Csv;
 use smrp_metrics::table::{percent, Table};
 use smrp_metrics::Stats;
 use smrp_net::{import, FailureScenario, Graph, NodeId};
-use smrp_proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
-use smrp_sim::SimTime;
+use smrp_proto::{
+    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
+};
+use smrp_sim::{ChannelSpec, SimTime};
 
 use crate::measure::{measure_scenario, smrp_config};
 use crate::scenario::Scenario;
@@ -100,13 +102,14 @@ fn run_backbone(
             .expect("session builds");
             if let Some(link) = recovery::worst_case_failure_for(&graph, session.tree(), members[0])
             {
-                let report = session.run_failure(
+                let report = MultiSession::from_sessions(vec![session]).run_failure_spec(
                     &FailureScenario::link(link),
                     RecoveryStrategy::LocalDetour,
-                    SimTime::from_ms(150.0),
+                    InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(150.0))),
+                    &ChannelSpec::perfect(),
                     SimTime::from_ms(3000.0),
                 );
-                row.local_latency_ms = report.mean_latency_ms();
+                row.local_latency_ms = report.groups[0].mean_latency_ms();
             }
         }
     }

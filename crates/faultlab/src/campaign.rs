@@ -17,9 +17,6 @@
 //! that order, so the campaign output is byte-identical for any `--jobs`
 //! value.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -37,6 +34,7 @@ use smrp_sim::{ChannelSpec, SimTime, TimerBackend};
 
 use crate::audit::{audit_recovery, Violation};
 use crate::generate::{generate_mix, FaultCase, GeneratorConfig};
+use crate::par::par_map_ordered;
 
 /// The protocol a case was evaluated against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -560,7 +558,8 @@ pub struct CampaignRun {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a bug in the evaluator itself).
+/// Panics if `jobs` is zero, or if a worker thread panics (a bug in the
+/// evaluator itself).
 pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> Result<CampaignRun, NetError> {
     run_campaign_with_backend(cfg, jobs, TimerBackend::default())
 }
@@ -578,13 +577,13 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> Result<CampaignRun, Ne
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a bug in the evaluator itself).
+/// Panics if `jobs` is zero, or if a worker thread panics (a bug in the
+/// evaluator itself).
 pub fn run_campaign_with_backend(
     cfg: &CampaignConfig,
     jobs: usize,
     backend: TimerBackend,
 ) -> Result<CampaignRun, NetError> {
-    let jobs = jobs.max(1);
     let graph = cfg.topology()?;
     // Generated topologies are connected and the member picker only hands
     // out existing nodes, so tree construction cannot fail here.
@@ -616,45 +615,22 @@ pub fn run_campaign_with_backend(
     // One work item per (case, protocol): groups inside a case share one
     // event queue so the protocol run is the finest deterministic unit.
     let total = cases.len() * ProtoKind::ALL.len();
-    let next = AtomicUsize::new(0);
-    let evaluated: Mutex<Vec<(usize, ProtoOutcome)>> = Mutex::new(Vec::with_capacity(total));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(total.max(1)) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let case = &cases[i / ProtoKind::ALL.len()];
-                    let proto = ProtoKind::ALL[i % ProtoKind::ALL.len()];
-                    let multi = match proto {
-                        ProtoKind::Smrp => &smrp,
-                        ProtoKind::Spf => &spf,
-                    };
-                    local.push((i, evaluate_proto(&graph, multi, cfg, case, proto)));
-                }
-                evaluated.lock().expect("no poisoned workers").extend(local);
-            });
-        }
-    });
-
-    // Reassemble by work-item index: scheduling order never leaks into
-    // the report.
-    let mut slots: Vec<Option<ProtoOutcome>> = vec![None; total];
-    for (i, outcome) in evaluated.into_inner().expect("workers joined") {
-        slots[i] = Some(outcome);
-    }
+    let mut outcomes = par_map_ordered(total, jobs, |i| {
+        let case = &cases[i / ProtoKind::ALL.len()];
+        let proto = ProtoKind::ALL[i % ProtoKind::ALL.len()];
+        let multi = match proto {
+            ProtoKind::Smrp => &smrp,
+            ProtoKind::Spf => &spf,
+        };
+        evaluate_proto(&graph, multi, cfg, case, proto)
+    })
+    .into_iter();
     let results = cases
         .into_iter()
-        .enumerate()
-        .map(|(ci, case)| CaseResult {
+        .map(|case| CaseResult {
             case,
-            smrp: slots[ci * 2].take().expect("every work item was evaluated"),
-            spf: slots[ci * 2 + 1]
-                .take()
-                .expect("every work item was evaluated"),
+            smrp: outcomes.next().expect("one SMRP outcome per case"),
+            spf: outcomes.next().expect("one SPF outcome per case"),
         })
         .collect();
     Ok(CampaignRun {

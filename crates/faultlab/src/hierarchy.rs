@@ -32,8 +32,6 @@
 //!   `--jobs` value and either timer backend produce identical runs.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -49,6 +47,8 @@ use smrp_proto::{
     FailureTiming, GroupMsg, InjectionTiming, MultiRouter, MultiSession, ProtoSession, RecoveryPlan,
 };
 use smrp_sim::{ChannelSpec, SimObserver, SimTime, TimerBackend};
+
+use crate::par::par_map_ordered;
 
 /// Knobs of a hierarchical campaign. Serialized into the report header;
 /// job count and timer backend never enter the report.
@@ -544,7 +544,8 @@ fn generate_cases(
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a bug in the evaluator itself).
+/// Panics if `jobs` is zero, or if a worker thread panics (a bug in the
+/// evaluator itself).
 pub fn run_hierarchy(cfg: &HierarchyConfig, jobs: usize) -> Result<HierarchyRun, NetError> {
     run_hierarchy_with_backend(cfg, jobs, TimerBackend::default())
 }
@@ -559,13 +560,13 @@ pub fn run_hierarchy(cfg: &HierarchyConfig, jobs: usize) -> Result<HierarchyRun,
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a bug in the evaluator itself).
+/// Panics if `jobs` is zero, or if a worker thread panics (a bug in the
+/// evaluator itself).
 pub fn run_hierarchy_with_backend(
     cfg: &HierarchyConfig,
     jobs: usize,
     backend: TimerBackend,
 ) -> Result<HierarchyRun, NetError> {
-    let jobs = jobs.max(1);
     let topo = cfg.topology()?;
     let (source, members) = cfg.pick_members(&topo);
     let nsess = NLevelSession::build(&topo, source, &members, SmrpConfig::default())
@@ -595,32 +596,7 @@ pub fn run_hierarchy_with_backend(
         borders: &borders,
     };
 
-    let total = cases.len();
-    let next = AtomicUsize::new(0);
-    let evaluated: Mutex<Vec<(usize, HierarchyCaseResult)>> = Mutex::new(Vec::with_capacity(total));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(total.max(1)) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    local.push((i, evaluate_case(&lab, cases[i])));
-                }
-                evaluated.lock().expect("no poisoned workers").extend(local);
-            });
-        }
-    });
-    let mut slots: Vec<Option<HierarchyCaseResult>> = vec![None; total];
-    for (i, r) in evaluated.into_inner().expect("workers joined") {
-        slots[i] = Some(r);
-    }
-    let results = slots
-        .into_iter()
-        .map(|s| s.expect("every case was evaluated"))
-        .collect();
+    let results = par_map_ordered(cases.len(), jobs, |i| evaluate_case(&lab, cases[i]));
     let domain_levels = domains
         .iter()
         .map(|d| topo.domains()[d.index()].level())

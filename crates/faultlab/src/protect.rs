@@ -26,9 +26,6 @@
 //! reassembled by index, and job count never enters the report — any
 //! `--jobs` value produces a byte-identical report.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use serde::{Deserialize, Serialize};
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::SmrpConfig;
@@ -43,6 +40,7 @@ use smrp_sim::{ChannelSpec, SimTime};
 use crate::audit::audit_recovery;
 use crate::campaign::Outcome;
 use crate::generate::{derive_srlgs, generate_case, FaultCase, FaultFamily, GeneratorConfig};
+use crate::par::par_map_ordered;
 use crate::report::LatencySummary;
 
 /// The recovery regime one evaluation ran under.
@@ -381,9 +379,9 @@ pub struct ProtectRun {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (a bug in the evaluator itself).
+/// Panics if `jobs` is zero, or if a worker thread panics (a bug in the
+/// evaluator itself).
 pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetError> {
-    let jobs = jobs.max(1);
     let graph = cfg.topology()?;
     let (source, members) = cfg.pick_members(&graph);
     let mut session = ProtoSession::build(
@@ -400,39 +398,18 @@ pub fn run_protect(cfg: &ProtectConfig, jobs: usize) -> Result<ProtectRun, NetEr
 
     let cases = cfg.cases(&graph);
     let total = cases.len() * ProtectMode::ALL.len();
-    let next = AtomicUsize::new(0);
-    let evaluated: Mutex<Vec<(usize, ProtectEval)>> = Mutex::new(Vec::with_capacity(total));
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(total.max(1)) {
-            scope.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    let pc = &cases[i / ProtectMode::ALL.len()];
-                    let mode = ProtectMode::ALL[i % ProtectMode::ALL.len()];
-                    local.push((i, evaluate_protect(&graph, &multi, cfg, pc, mode)));
-                }
-                evaluated.lock().expect("no poisoned workers").extend(local);
-            });
-        }
-    });
-
-    let mut slots: Vec<Option<ProtectEval>> = vec![None; total];
-    for (i, eval) in evaluated.into_inner().expect("workers joined") {
-        slots[i] = Some(eval);
-    }
+    let mut evals = par_map_ordered(total, jobs, |i| {
+        let pc = &cases[i / ProtectMode::ALL.len()];
+        let mode = ProtectMode::ALL[i % ProtectMode::ALL.len()];
+        evaluate_protect(&graph, &multi, cfg, pc, mode)
+    })
+    .into_iter();
     let results = cases
         .into_iter()
-        .enumerate()
-        .map(|(ci, case)| ProtectCaseResult {
+        .map(|case| ProtectCaseResult {
             case,
-            protection: slots[ci * 2].take().expect("every work item was evaluated"),
-            reactive: slots[ci * 2 + 1]
-                .take()
-                .expect("every work item was evaluated"),
+            protection: evals.next().expect("one protection run per case"),
+            reactive: evals.next().expect("one reactive run per case"),
         })
         .collect();
     Ok(ProtectRun {

@@ -19,8 +19,6 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use smrp_core::paper;
@@ -28,9 +26,12 @@ use smrp_core::recovery::{self, DetourKind};
 use smrp_net::{FailureScenario, Graph, LinkWeights, NodeId};
 use smrp_proto::snapshot::{AffectedGroup, SessionState};
 use smrp_proto::{
-    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
+    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, RouterConfig,
+    TreeProtocol,
 };
 use smrp_sim::{ChannelSpec, SimTime};
+
+use crate::par::par_map_ordered;
 
 /// Version of the trace file format.
 ///
@@ -471,7 +472,7 @@ fn build_trace(script: &Script) -> GoldenTrace {
         })
         .collect();
     let down: BTreeSet<NodeId> = scenario.failed_nodes().collect();
-    let data_interval = built[0].router_config().data_interval;
+    let data_interval = RouterConfig::default().data_interval;
     let expected = SessionState::capture(&procs, &affected, &down, report.fail_at, data_interval);
     let expected_digest = expected.digest();
 
@@ -514,9 +515,9 @@ pub fn golden_scenarios() -> Vec<GoldenTrace> {
 /// Generates every golden scenario using up to `jobs` worker threads and
 /// writes one `<name>.json` per scenario into `dir` (created if absent).
 ///
-/// Output is byte-identical regardless of `jobs`: workers steal scripts
-/// from a shared index, results are reassembled in script order, and
-/// files are written sequentially.
+/// Output is byte-identical regardless of `jobs`: scripts are built in
+/// parallel, reassembled in script order, and files are written
+/// sequentially.
 ///
 /// # Errors
 ///
@@ -526,29 +527,12 @@ pub fn golden_scenarios() -> Vec<GoldenTrace> {
 ///
 /// Panics if `jobs` is zero.
 pub fn dump_traces(dir: &Path, jobs: usize) -> io::Result<Vec<PathBuf>> {
-    assert!(jobs > 0, "at least one worker is required");
     let scripts = scripts();
-    let slots: Mutex<Vec<Option<GoldenTrace>>> = Mutex::new(vec![None; scripts.len()]);
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(scripts.len()).max(1) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= scripts.len() {
-                    break;
-                }
-                let trace = build_trace(&scripts[i]);
-                slots.lock().expect("no poisoned workers")[i] = Some(trace);
-            });
-        }
-    });
+    let traces = par_map_ordered(scripts.len(), jobs, |i| build_trace(&scripts[i]));
 
     std::fs::create_dir_all(dir)?;
-    let traces = slots.into_inner().expect("workers finished");
     let mut paths = Vec::with_capacity(traces.len());
     for trace in traces {
-        let trace = trace.expect("every slot filled");
         let path = dir.join(format!("{}.json", trace.name));
         std::fs::write(&path, trace.to_json())?;
         paths.push(path);

@@ -11,9 +11,9 @@
 //!   refreshes stop), hop-by-hop `Setup` propagation for joins and grafts,
 //!   data forwarding down the tree, and heartbeat (`Hello`) exchange with
 //!   the upstream neighbor for failure detection;
-//! * [`runner`] — [`ProtoSession`]: builds a tree with `smrp-core`, loads
-//!   it into routers, pumps data from the source, injects a persistent
-//!   failure and measures each member's **service restoration latency**
+//! * [`runner`] — [`ProtoSession`], the planning half of an experiment:
+//!   builds a tree with `smrp-core` and derives what a failure means for
+//!   it (fragment roots, reactive recovery plans, the protection plane)
 //!   under either recovery strategy:
 //!   [`RecoveryStrategy::LocalDetour`] (SMRP: graft to the nearest
 //!   connected on-tree node as soon as the failure is detected) or
@@ -21,11 +21,13 @@
 //!   reconvergence — tens of seconds per Wang et al.'s ICNP 2000
 //!   measurements cited by the paper — then re-join along the new
 //!   shortest path);
-//! * [`multi`] — multi-session sharding: one [`MultiRouter`] process per
-//!   node hosting independent per-group [`Router`] lanes (tree, SHR,
-//!   soft state and reliable-delivery sequence lanes all keyed by
-//!   [`smrp_net::GroupId`]) over shared links, and [`MultiSession`]
-//!   running N concurrent groups through one failure experiment;
+//! * [`multi`] — the one runner: [`MultiSession`] loads one or more
+//!   sessions into per-node [`MultiRouter`] processes, each hosting
+//!   independent per-group [`Router`] lanes (tree, SHR, soft state and
+//!   reliable-delivery sequence lanes all keyed by
+//!   [`smrp_net::GroupId`]) over shared links, pumps data from the
+//!   sources, injects a failure and measures each member's **service
+//!   restoration latency**. A single session is the M = 1 case;
 //! * [`hierarchy`] — the N-level recovery architecture of §3.3.3
 //!   instantiated for 2 levels on transit-stub topologies: per-domain
 //!   SMRP sessions with border *agents*, failure attribution to a domain,
@@ -49,12 +51,13 @@ pub mod wire;
 
 pub use membership::DynamicSession;
 pub use messages::{GroupMsg, GroupTimer, ProtoMsg, TimerKind};
-pub use multi::{GroupRecoveryReport, MultiRecoveryReport, MultiRouter, MultiSession};
+pub use multi::{
+    GroupRecoveryReport, MultiRecoveryReport, MultiRouter, MultiSession, OverheadReport,
+};
 pub use reliable::{ReliabilityCounters, ReliableConfig};
 pub use router::{ControlCounters, ProtectionCounters, RecoveryPlan, Router, RouterConfig};
 pub use runner::{
-    FailureTiming, InjectionTiming, OverheadReport, ProtoSession, RecoveryPlans, RecoveryReport,
-    RecoveryStrategy, TreeProtocol,
+    FailureTiming, InjectionTiming, ProtoSession, RecoveryPlans, RecoveryStrategy, TreeProtocol,
 };
 pub use snapshot::{AffectedGroup, GroupState, NodeTreeState, SessionState};
 pub use wire::{WireError, WIRE_VERSION};

@@ -17,10 +17,12 @@
 //!   simulator: a failure scenario is injected once and every group
 //!   detects and recovers concurrently, contending for the same links.
 //!
-//! A single-group [`MultiSession`] is the degenerate case and behaves
-//! *identically* to [`ProtoSession::run_failure_spec`]: the lane dispatch
-//! adds no virtual time and preserves event order, which the golden-trace
-//! regression test in `tests/multi_golden.rs` pins down.
+//! [`MultiSession`] is the only code that puts a tree into the simulator:
+//! a single session is the M = 1 case, run as
+//! `MultiSession::from_sessions(vec![session])`. The lane dispatch adds
+//! no virtual time and preserves event order, and the golden-trace
+//! regression test in `tests/multi_golden.rs` pins the M = 1 Figure 1
+//! recovery down to its `Setup` sends and restoration latencies.
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_metrics::ControlHealth;
@@ -32,7 +34,7 @@ use smrp_sim::{
 
 use crate::messages::{GroupMsg, GroupTimer};
 use crate::router::{ControlCounters, RecoveryPlan, Router, RouterConfig};
-use crate::runner::{InjectionTiming, ProtoSession, RecoveryStrategy};
+use crate::runner::{FailureTiming, InjectionTiming, ProtoSession, RecoveryStrategy};
 
 /// Sentinel for "this group has no lane on this node".
 const NO_LANE: u32 = u32::MAX;
@@ -220,6 +222,17 @@ impl GroupRecoveryReport {
             .filter_map(|(_, l)| l.map(SimTime::as_ms))
             .collect()
     }
+
+    /// Mean restoration latency in milliseconds over restored members
+    /// (`None` if nothing restored).
+    pub fn mean_latency_ms(&self) -> Option<f64> {
+        let restored = self.latencies_ms();
+        if restored.is_empty() {
+            None
+        } else {
+            Some(restored.iter().sum::<f64>() / restored.len() as f64)
+        }
+    }
 }
 
 /// Result of one multi-session failure experiment: one shared run, one
@@ -246,6 +259,42 @@ impl MultiRecoveryReport {
     }
 }
 
+/// Steady-state control-plane overhead of the hosted sessions (§3.3.2),
+/// summed over groups.
+#[derive(Debug, Clone)]
+pub struct OverheadReport {
+    /// Observation window.
+    pub duration: SimTime,
+    /// Control messages sent across all routers, by type.
+    pub control: ControlCounters,
+    /// Data packets delivered to members.
+    pub data_delivered: u64,
+    /// Data packets forwarded by routers (link crossings).
+    pub data_forwarded: u64,
+    /// Number of on-tree router lanes carrying state.
+    pub on_tree_nodes: usize,
+}
+
+impl OverheadReport {
+    /// Control messages per data packet delivered (the §3.3.2 "fairly
+    /// small overhead" quantity).
+    pub fn control_per_delivery(&self) -> f64 {
+        if self.data_delivered == 0 {
+            return f64::INFINITY;
+        }
+        self.control.total() as f64 / self.data_delivered as f64
+    }
+
+    /// Control messages per on-tree router per second.
+    pub fn control_rate_per_router(&self) -> f64 {
+        let secs = self.duration.as_ms() / 1000.0;
+        if secs <= 0.0 || self.on_tree_nodes == 0 {
+            return 0.0;
+        }
+        self.control.total() as f64 / self.on_tree_nodes as f64 / secs
+    }
+}
+
 /// N concurrent multicast sessions over one topology, ready for shared
 /// failure experiments. Group `i` is [`GroupId::new`]`(i)`.
 #[derive(Debug, Clone)]
@@ -257,37 +306,33 @@ pub struct MultiSession<'g> {
 
 impl<'g> MultiSession<'g> {
     /// Hosts prebuilt sessions together. All sessions must live on the
-    /// same graph and share one [`RouterConfig`] (the lanes of a router
-    /// process run one timer profile).
+    /// same graph; their routers run [`RouterConfig::default`] (hardened
+    /// for ambient loss, see [`run_failure_spec`](Self::run_failure_spec)).
     ///
     /// # Panics
     ///
-    /// Panics if `sessions` is empty, if a session was built on a
-    /// different graph, or if router configs disagree.
+    /// Panics if `sessions` is empty or if a session was built on a
+    /// different graph.
     pub fn from_sessions(sessions: Vec<ProtoSession<'g>>) -> Self {
         assert!(!sessions.is_empty(), "at least one session is required");
         let graph = sessions[0].graph();
-        let config = sessions[0].router_config();
         for s in &sessions[1..] {
             assert!(
                 std::ptr::eq(s.graph(), graph),
                 "all sessions must share one graph"
             );
-            assert!(
-                s.router_config() == config,
-                "all sessions must share one router config"
-            );
         }
-        let timer_backend = sessions[0].timer_backend();
         MultiSession {
             graph,
             sessions,
-            timer_backend,
+            timer_backend: TimerBackend::default(),
         }
     }
 
-    /// Selects the engine timer backend for this experiment's runs (see
-    /// [`ProtoSession::set_timer_backend`]).
+    /// Selects the engine timer backend for this experiment's runs.
+    /// Defaults to the production timer wheel; the reference heap exists
+    /// for differential tests (the two must produce byte-identical
+    /// traces).
     pub fn set_timer_backend(&mut self, backend: TimerBackend) {
         self.timer_backend = backend;
     }
@@ -338,14 +383,56 @@ impl<'g> MultiSession<'g> {
         procs
     }
 
+    /// Runs the sessions with no failures for `duration` and reports the
+    /// control-plane overhead (§3.3.2): how many hellos, refreshes and
+    /// setups the trees cost per unit of useful data delivered.
+    pub fn run_steady(&self, duration: SimTime) -> OverheadReport {
+        let (report, procs) = self.run_failure_inner(
+            &FailureScenario::none(),
+            PlanSource::Explicit(&[]),
+            InjectionTiming::Once(FailureTiming::persistent(duration)),
+            &ChannelSpec::perfect(),
+            duration,
+            TraceLog::disabled(),
+        );
+        let mut control = ControlCounters::default();
+        for g in &report.groups {
+            control.merge(&g.control);
+        }
+        let mut data_delivered = 0u64;
+        let mut data_forwarded = 0u64;
+        for p in &procs {
+            for lane in p.groups().filter_map(|g| p.lane(g)) {
+                data_forwarded += lane.forwarded_count();
+                if lane.is_member() {
+                    data_delivered += lane.deliveries().len() as u64;
+                }
+            }
+        }
+        OverheadReport {
+            duration,
+            control,
+            data_delivered,
+            data_forwarded,
+            on_tree_nodes: self
+                .sessions
+                .iter()
+                .map(|s| s.tree().on_tree_nodes().count())
+                .sum(),
+        }
+    }
+
     /// Runs the shared failure experiment: every group's tree is loaded
     /// into one simulator, `scenario` is injected once, and each group
     /// detects and recovers independently while contending for the same
     /// links (and, when `channel` is degraded, the same loss process).
     ///
-    /// Mirrors [`ProtoSession::run_failure_spec`] semantics per group —
-    /// including [`RouterConfig::hardened_for_loss`] when the channel's
-    /// default lane is lossy.
+    /// `timing` may be persistent, transient or flapping. When the
+    /// channel's *default* lane is lossy, the router config is hardened
+    /// via [`RouterConfig::hardened_for_loss`] — uniform loss is ambient
+    /// noise every router experiences, so timers must tolerate it.
+    /// Gray-link overrides do **not** harden: a single rotten link
+    /// *should* look like a failure to the routers behind it.
     pub fn run_failure_spec(
         &self,
         scenario: &FailureScenario,
@@ -464,9 +551,7 @@ impl<'g> MultiSession<'g> {
         observer: O,
     ) -> (MultiRecoveryReport, Vec<MultiRouter>) {
         let fail_at = timing.fail_at();
-        let config = self.sessions[0]
-            .router_config()
-            .hardened_for_loss(channel.default.loss);
+        let config = RouterConfig::default().hardened_for_loss(channel.default.loss);
         let mut procs = self.processes(config);
 
         match plans {
@@ -548,7 +633,7 @@ impl<'g> MultiSession<'g> {
         // Packets in flight when the failure hit don't count as restored
         // service: only packets the source sent after `fail_at` qualify
         // (the source emits seq `s` at `(s + 1) · data_interval`).
-        let interval = self.sessions[0].router_config().data_interval.as_ms();
+        let interval = RouterConfig::default().data_interval.as_ms();
         let sent_at = |seq: u64| SimTime::from_ms(interval * (seq as f64 + 1.0));
 
         let mut groups = Vec::with_capacity(self.sessions.len());
@@ -630,37 +715,6 @@ mod tests {
 
     fn spf_session<'a>(graph: &'a Graph, nodes: &paper::Figure1Nodes) -> ProtoSession<'a> {
         ProtoSession::build(graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap()
-    }
-
-    #[test]
-    fn single_group_matches_the_single_session_runner() {
-        let (graph, nodes) = figure1_session();
-        let session = spf_session(&graph, &nodes);
-        let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
-        let scenario = FailureScenario::link(l_ad);
-        let timing = InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0)));
-        let until = SimTime::from_ms(3000.0);
-
-        let single = session.run_failure_spec(
-            &scenario,
-            RecoveryStrategy::LocalDetour,
-            timing,
-            &ChannelSpec::perfect(),
-            until,
-        );
-        let multi = MultiSession::from_sessions(vec![session.clone()]).run_failure_spec(
-            &scenario,
-            RecoveryStrategy::LocalDetour,
-            timing,
-            &ChannelSpec::perfect(),
-            until,
-        );
-        assert_eq!(multi.groups.len(), 1);
-        assert_eq!(multi.groups[0].restorations, single.restorations);
-        assert_eq!(multi.groups[0].unaffected, single.unaffected);
-        assert_eq!(multi.messages_delivered, single.messages_delivered);
-        assert_eq!(multi.messages_dropped, single.messages_dropped);
-        assert_eq!(multi.health, single.health);
     }
 
     #[test]

@@ -1,22 +1,24 @@
-//! Protocol-level failure/recovery experiments.
+//! Protocol-level failure/recovery planning.
 //!
-//! [`ProtoSession`] ties the layers together: `smrp-core` builds the
-//! multicast tree (SMRP or the SPF baseline), the tree is loaded into
-//! [`Router`]s on a [`NetSim`], the source pumps data, a persistent failure
-//! is injected mid-run, and the report captures each member's **service
-//! restoration latency** — the motivating quantity of §1: local detours
-//! restore service in heartbeat-detection time, while SPF-based recovery
-//! waits for unicast routing to reconverge (tens of seconds, per the
-//! ICNP 2000 measurements the paper cites).
+//! [`ProtoSession`] is the planning half of a protocol experiment:
+//! `smrp-core` builds the multicast tree (SMRP or the SPF baseline), and
+//! the session derives what a failure means for it — fragment roots,
+//! reactive recovery plans and the proactive protection plane. It runs no
+//! simulator itself: [`crate::multi::MultiSession`] loads one or more
+//! sessions into routers, pumps data, injects the failure and reports each
+//! member's **service restoration latency** — the motivating quantity of
+//! §1: local detours restore service in heartbeat-detection time, while
+//! SPF-based recovery waits for unicast routing to reconverge (tens of
+//! seconds, per the ICNP 2000 measurements the paper cites). A single
+//! session is the M = 1 case of that one runner.
 
 use smrp_core::recovery::{self, DetourKind, Recovery};
 use smrp_core::{MulticastTree, SmrpConfig, SmrpError, SmrpSession, SpfSession};
-use smrp_metrics::ControlHealth;
 use smrp_net::backup::{BackupPlanner, DetourRequest};
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
-use smrp_sim::{ChannelModel, ChannelSpec, NetSim, SimTime, TimerBackend, TraceLog};
+use smrp_sim::SimTime;
 
-use crate::router::{RecoveryPlan, Router, RouterConfig};
+use crate::router::RecoveryPlan;
 
 /// Which algorithm builds the multicast tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -175,103 +177,13 @@ impl RecoveryPlans {
     }
 }
 
-/// Result of one protocol-level failure experiment.
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// When the failure was injected.
-    pub fail_at: SimTime,
-    /// Per affected member: restoration latency (`None` if service never
-    /// resumed within the run).
-    pub restorations: Vec<(NodeId, Option<SimTime>)>,
-    /// Members that never lost service.
-    pub unaffected: Vec<NodeId>,
-    /// Total messages delivered by the simulator during the run.
-    pub messages_delivered: u64,
-    /// Total messages dropped (failed links/nodes/channel).
-    pub messages_dropped: u64,
-    /// Control-plane health: reliable-layer counters aggregated across all
-    /// routers plus what the degraded channel did. All-zero for lossless
-    /// runs.
-    pub health: ControlHealth,
-    /// Protection-plane counters aggregated across all routers: plans
-    /// held, local activations, stale-plan discards. All-zero unless the
-    /// run used [`RecoveryStrategy::Protection`].
-    pub protection: crate::router::ProtectionCounters,
-}
-
-impl RecoveryReport {
-    /// Whether every affected member restored service.
-    pub fn all_restored(&self) -> bool {
-        self.restorations.iter().all(|(_, l)| l.is_some())
-    }
-
-    /// Mean restoration latency in milliseconds over restored members
-    /// (`None` if nothing restored).
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        let restored: Vec<f64> = self
-            .restorations
-            .iter()
-            .filter_map(|(_, l)| l.map(SimTime::as_ms))
-            .collect();
-        if restored.is_empty() {
-            None
-        } else {
-            Some(restored.iter().sum::<f64>() / restored.len() as f64)
-        }
-    }
-
-    /// Worst restoration latency in milliseconds among restored members.
-    pub fn max_latency_ms(&self) -> Option<f64> {
-        self.restorations
-            .iter()
-            .filter_map(|(_, l)| l.map(SimTime::as_ms))
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-}
-
-/// Steady-state control-plane overhead of a session (§3.3.2).
-#[derive(Debug, Clone)]
-pub struct OverheadReport {
-    /// Observation window.
-    pub duration: SimTime,
-    /// Control messages sent across all routers, by type.
-    pub control: crate::router::ControlCounters,
-    /// Data packets delivered to members.
-    pub data_delivered: u64,
-    /// Data packets forwarded by routers (link crossings).
-    pub data_forwarded: u64,
-    /// Number of on-tree routers carrying state.
-    pub on_tree_nodes: usize,
-}
-
-impl OverheadReport {
-    /// Control messages per data packet delivered (the §3.3.2 "fairly
-    /// small overhead" quantity).
-    pub fn control_per_delivery(&self) -> f64 {
-        if self.data_delivered == 0 {
-            return f64::INFINITY;
-        }
-        self.control.total() as f64 / self.data_delivered as f64
-    }
-
-    /// Control messages per on-tree router per second.
-    pub fn control_rate_per_router(&self) -> f64 {
-        let secs = self.duration.as_ms() / 1000.0;
-        if secs <= 0.0 || self.on_tree_nodes == 0 {
-            return 0.0;
-        }
-        self.control.total() as f64 / self.on_tree_nodes as f64 / secs
-    }
-}
-
-/// A protocol-level multicast session ready for failure experiments.
+/// A protocol-level multicast session: one tree plus everything needed to
+/// plan its recovery. Run it through [`crate::multi::MultiSession`].
 #[derive(Debug, Clone)]
 pub struct ProtoSession<'g> {
     graph: &'g Graph,
     source: NodeId,
     tree: MulticastTree,
-    router_config: RouterConfig,
-    timer_backend: TimerBackend,
     srlgs: Vec<Vec<LinkId>>,
 }
 
@@ -307,8 +219,6 @@ impl<'g> ProtoSession<'g> {
             graph,
             source,
             tree,
-            router_config: RouterConfig::default(),
-            timer_backend: TimerBackend::default(),
             srlgs: Vec::new(),
         })
     }
@@ -323,15 +233,8 @@ impl<'g> ProtoSession<'g> {
             graph,
             source,
             tree,
-            router_config: RouterConfig::default(),
-            timer_backend: TimerBackend::default(),
             srlgs: Vec::new(),
         }
-    }
-
-    /// Overrides the protocol timing parameters.
-    pub fn set_router_config(&mut self, config: RouterConfig) {
-        self.router_config = config;
     }
 
     /// Declares the shared-risk link groups protection plans must respect:
@@ -340,23 +243,6 @@ impl<'g> ProtoSession<'g> {
     /// Has no effect on the reactive strategies.
     pub fn set_srlgs(&mut self, srlgs: Vec<Vec<LinkId>>) {
         self.srlgs = srlgs;
-    }
-
-    /// Selects the engine timer backend for this session's runs. Defaults
-    /// to the production timer wheel; the reference heap exists for
-    /// differential tests (the two must produce byte-identical traces).
-    pub fn set_timer_backend(&mut self, backend: TimerBackend) {
-        self.timer_backend = backend;
-    }
-
-    /// The engine timer backend this session's runs use.
-    pub fn timer_backend(&self) -> TimerBackend {
-        self.timer_backend
-    }
-
-    /// The protocol timing parameters routers are loaded with.
-    pub fn router_config(&self) -> RouterConfig {
-        self.router_config
     }
 
     /// The graph this session's tree lives on.
@@ -372,26 +258,6 @@ impl<'g> ProtoSession<'g> {
     /// The multicast source.
     pub fn source(&self) -> NodeId {
         self.source
-    }
-
-    /// Instantiates routers preloaded with the session tree.
-    fn routers(&self) -> Vec<Router> {
-        self.routers_with(self.router_config)
-    }
-
-    /// Like [`routers`](Self::routers) with an explicit config — lossy
-    /// runs load loss-hardened timers without mutating the session.
-    fn routers_with(&self, config: RouterConfig) -> Vec<Router> {
-        let mut routers: Vec<Router> = (0..self.graph.node_count())
-            .map(|_| Router::new(config))
-            .collect();
-        for n in self.tree.on_tree_nodes() {
-            let upstream = self.tree.parent(n);
-            let downstream: Vec<NodeId> = self.tree.children(n).to_vec();
-            routers[n.index()].load_state(upstream, &downstream, self.tree.is_member(n));
-        }
-        routers[self.source.index()].set_source();
-        routers
     }
 
     /// Fragment roots: usable on-tree nodes whose upstream link is broken
@@ -414,39 +280,6 @@ impl<'g> ProtoSession<'g> {
             }
         }
         roots
-    }
-
-    /// Runs the session with no failures for `duration` and reports the
-    /// control-plane overhead (§3.3.2): how many hellos, refreshes and
-    /// setups the tree costs per unit of useful data delivered.
-    pub fn run_steady(&self, duration: SimTime) -> OverheadReport {
-        let routers = self.routers();
-        let mut sim = NetSim::new(self.graph, routers);
-        sim.set_timer_backend(self.timer_backend);
-        sim.set_trace(TraceLog::disabled());
-        for n in self.tree.on_tree_nodes() {
-            sim.with_node(n, |r, ctx| r.start_timers(ctx));
-        }
-        sim.run_until(duration);
-
-        let mut control = crate::router::ControlCounters::default();
-        let mut data_delivered = 0u64;
-        let mut data_forwarded = 0u64;
-        for n in self.graph.node_ids() {
-            let r = sim.node(n);
-            control.merge(&r.control_sent());
-            data_forwarded += r.forwarded_count();
-            if r.is_member() {
-                data_delivered += r.deliveries().len() as u64;
-            }
-        }
-        OverheadReport {
-            duration,
-            control,
-            data_delivered,
-            data_forwarded,
-            on_tree_nodes: self.tree.on_tree_nodes().count(),
-        }
     }
 
     /// Computes the recovery plans `scenario` induces under detour `kind`,
@@ -643,176 +476,48 @@ impl<'g> ProtoSession<'g> {
         }
         out
     }
-
-    /// Runs a failure experiment: warm up, inject `scenario` at `fail_at`,
-    /// run until `until`, report restoration latencies for affected
-    /// members.
-    ///
-    /// Recovery plans are computed with the `smrp-core` recovery engine and
-    /// installed on the fragment roots (standing in for their own path
-    /// computation at detection time).
-    pub fn run_failure(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        fail_at: SimTime,
-        until: SimTime,
-    ) -> RecoveryReport {
-        self.run_failure_timed(
-            scenario,
-            strategy,
-            FailureTiming::persistent(fail_at),
-            until,
-        )
-    }
-
-    /// [`run_failure`](Self::run_failure) with explicit failure timing:
-    /// persistent scenarios behave identically; transient timing schedules
-    /// repair events for every failed component at `timing.repair_at`.
-    pub fn run_failure_timed(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: FailureTiming,
-        until: SimTime,
-    ) -> RecoveryReport {
-        self.run_failure_spec(
-            scenario,
-            strategy,
-            InjectionTiming::Once(timing),
-            &ChannelSpec::perfect(),
-            until,
-        )
-    }
-
-    /// The full-control failure runner: any [`InjectionTiming`] (including
-    /// flapping cycles) over any [`ChannelSpec`].
-    ///
-    /// When the channel's *default* lane is lossy, the router config is
-    /// hardened via [`RouterConfig::hardened_for_loss`] — uniform loss is
-    /// ambient noise every router experiences, so timers must tolerate it.
-    /// Gray-link overrides do **not** harden: a single rotten link
-    /// *should* look like a failure to the routers behind it.
-    pub fn run_failure_spec(
-        &self,
-        scenario: &FailureScenario,
-        strategy: RecoveryStrategy,
-        timing: InjectionTiming,
-        channel: &ChannelSpec,
-        until: SimTime,
-    ) -> RecoveryReport {
-        let fail_at = timing.fail_at();
-        let config = self.router_config.hardened_for_loss(channel.default.loss);
-        let mut routers = self.routers_with(config);
-
-        if let RecoveryStrategy::Protection = strategy {
-            // Protection installs the precomputed plane on *every*
-            // protected node, before (and regardless of) the scenario —
-            // restoration is local activation of whatever was cached.
-            for (node, plans) in self.protection_plans() {
-                routers[node.index()].install_backup_plans(plans);
-            }
-        } else {
-            let (kind, wait) = match strategy {
-                RecoveryStrategy::LocalDetour => (DetourKind::Local, SimTime::ZERO),
-                RecoveryStrategy::ReactiveSearch { search } => (DetourKind::Local, search),
-                RecoveryStrategy::GlobalDetour { reconvergence } => {
-                    (DetourKind::Global, reconvergence)
-                }
-                RecoveryStrategy::Protection => unreachable!(),
-            };
-            for rec in self.plan_recoveries(scenario, kind).recoveries {
-                routers[rec.member().index()].install_recovery_plan(RecoveryPlan {
-                    path: rec.restoration_path().nodes().to_vec(),
-                    wait,
-                    path_delay: SimTime::from_ms(rec.restoration_path().delay(self.graph)),
-                });
-            }
-        }
-
-        let mut sim = NetSim::new(self.graph, routers);
-        sim.set_timer_backend(self.timer_backend);
-        sim.set_trace(TraceLog::disabled());
-        if !channel.is_perfect() {
-            sim.set_channel(Some(ChannelModel::new(channel)));
-        }
-        for n in self.tree.on_tree_nodes() {
-            sim.with_node(n, |r, ctx| r.start_timers(ctx));
-        }
-        for (down_at, up_at) in timing.schedule() {
-            for l in scenario.failed_links() {
-                sim.schedule_link_failure(down_at, l);
-                if let Some(up_at) = up_at {
-                    sim.schedule_link_repair(up_at, l);
-                }
-            }
-            for n in scenario.failed_nodes() {
-                sim.schedule_node_failure(down_at, n);
-                if let Some(up_at) = up_at {
-                    sim.schedule_node_repair(up_at, n);
-                }
-            }
-        }
-        sim.run_until(until);
-
-        let affected = recovery::affected_members(self.graph, &self.tree, scenario);
-        let affected_set: Vec<NodeId> = affected.clone();
-        // A packet that was already in flight when the failure hit still
-        // arrives and must not count as restored service: only packets the
-        // source *sent* after the failure qualify. The source emits seq `s`
-        // at `(s + 1) · data_interval`.
-        let interval = self.router_config.data_interval.as_ms();
-        let sent_at = |seq: u64| SimTime::from_ms(interval * (seq as f64 + 1.0));
-        let restorations = affected
-            .into_iter()
-            .map(|m| {
-                let latency = sim
-                    .node(m)
-                    .deliveries()
-                    .iter()
-                    .find(|d| sent_at(d.seq) > fail_at)
-                    .map(|d| d.time - fail_at);
-                (m, latency)
-            })
-            .collect();
-        let unaffected = self
-            .tree
-            .members()
-            .filter(|m| !affected_set.contains(m))
-            .collect();
-        let mut health = ControlHealth::default();
-        let mut protection = crate::router::ProtectionCounters::default();
-        for n in self.graph.node_ids() {
-            let r = sim.node(n).reliability();
-            health.retransmits += r.retransmits;
-            health.dup_drops += r.dup_drops;
-            health.retry_exhaustions += r.retry_exhaustions;
-            health.acks += r.acks_sent;
-            protection.merge(&sim.node(n).protection_counters());
-        }
-        if let Some(ch) = sim.channel_stats() {
-            health.channel_dupes = ch.duplicated;
-            health.channel_reorders = ch.reordered;
-            for (&class, &n) in &ch.lost_by_class {
-                *health.loss_by_class.entry(class.to_string()).or_insert(0) += n;
-            }
-        }
-        RecoveryReport {
-            fail_at,
-            restorations,
-            unaffected,
-            messages_delivered: sim.delivered_count(),
-            messages_dropped: sim.dropped_count(),
-            health,
-            protection,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi::{MultiRecoveryReport, MultiSession};
     use smrp_core::paper;
+    use smrp_sim::ChannelSpec;
+
+    /// Runs `session` alone (M = 1) over a perfect channel.
+    fn run(
+        session: &ProtoSession<'_>,
+        scenario: &FailureScenario,
+        strategy: RecoveryStrategy,
+        timing: InjectionTiming,
+        until: SimTime,
+    ) -> MultiRecoveryReport {
+        run_on(
+            session,
+            scenario,
+            strategy,
+            timing,
+            &ChannelSpec::perfect(),
+            until,
+        )
+    }
+
+    fn run_on(
+        session: &ProtoSession<'_>,
+        scenario: &FailureScenario,
+        strategy: RecoveryStrategy,
+        timing: InjectionTiming,
+        channel: &ChannelSpec,
+        until: SimTime,
+    ) -> MultiRecoveryReport {
+        MultiSession::from_sessions(vec![session.clone()])
+            .run_failure_spec(scenario, strategy, timing, channel, until)
+    }
+
+    fn persistent(fail_at_ms: f64) -> InjectionTiming {
+        InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(fail_at_ms)))
+    }
 
     #[test]
     fn figure1_protocol_recovery_local_vs_global() {
@@ -822,17 +527,24 @@ mod tests {
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let scenario = FailureScenario::link(l_ad);
 
-        let fail_at = SimTime::from_ms(100.0);
         let until = SimTime::from_ms(5000.0);
-        let local = session.run_failure(&scenario, RecoveryStrategy::LocalDetour, fail_at, until);
-        let global = session.run_failure(
+        let local = run(
+            &session,
+            &scenario,
+            RecoveryStrategy::LocalDetour,
+            persistent(100.0),
+            until,
+        );
+        let global = run(
+            &session,
             &scenario,
             RecoveryStrategy::GlobalDetour {
                 reconvergence: SimTime::from_ms(1000.0),
             },
-            fail_at,
+            persistent(100.0),
             until,
         );
+        let (local, global) = (&local.groups[0], &global.groups[0]);
         assert!(local.all_restored(), "local: {:?}", local.restorations);
         assert!(global.all_restored(), "global: {:?}", global.restorations);
         let l = local.mean_latency_ms().unwrap();
@@ -851,12 +563,14 @@ mod tests {
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let scenario = FailureScenario::link(l_ad);
-        let report = session.run_failure(
+        let report = run(
+            &session,
             &scenario,
             RecoveryStrategy::LocalDetour,
-            SimTime::from_ms(50.0),
+            persistent(50.0),
             SimTime::from_ms(1000.0),
         );
+        let report = &report.groups[0];
         assert_eq!(report.unaffected, vec![nodes.c]);
         assert_eq!(report.restorations.len(), 1);
         assert_eq!(report.restorations[0].0, nodes.d);
@@ -897,13 +611,14 @@ mod tests {
         );
         // Failing L_SA now leaves D untouched, and C recovers quickly.
         let l_sa = graph.link_between(nodes.s, nodes.a).unwrap();
-        let report = session.run_failure(
+        let report = run(
+            &session,
             &FailureScenario::link(l_sa),
             RecoveryStrategy::LocalDetour,
-            SimTime::from_ms(50.0),
+            persistent(50.0),
             SimTime::from_ms(2000.0),
         );
-        assert_eq!(report.unaffected, vec![nodes.d]);
+        assert_eq!(report.groups[0].unaffected, vec![nodes.d]);
         assert!(report.all_restored());
     }
 
@@ -912,7 +627,8 @@ mod tests {
         let (graph, nodes) = paper::figure1_graph();
         let session =
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
-        let report = session.run_steady(SimTime::from_ms(1000.0));
+        let report =
+            MultiSession::from_sessions(vec![session]).run_steady(SimTime::from_ms(1000.0));
         assert!(report.data_delivered > 100, "members received data");
         assert!(report.control.hellos > 0);
         assert!(report.control.refreshes > 0);
@@ -955,21 +671,26 @@ mod tests {
         g.add_link(ids[1], ids[2], 1.0).unwrap();
         let session = ProtoSession::build(&g, ids[0], &[ids[2]], TreeProtocol::Spf).unwrap();
         let scenario = FailureScenario::link(l_sa);
-        let persistent = session.run_failure(
+        let cut = run(
+            &session,
             &scenario,
             RecoveryStrategy::LocalDetour,
-            SimTime::from_ms(50.0),
+            persistent(50.0),
             SimTime::from_ms(1500.0),
         );
-        assert!(!persistent.all_restored(), "no detour exists");
-        let transient = session.run_failure_timed(
+        assert!(!cut.all_restored(), "no detour exists");
+        let transient = run(
+            &session,
             &scenario,
             RecoveryStrategy::LocalDetour,
-            FailureTiming::transient(SimTime::from_ms(50.0), SimTime::from_ms(300.0)),
+            InjectionTiming::Once(FailureTiming::transient(
+                SimTime::from_ms(50.0),
+                SimTime::from_ms(300.0),
+            )),
             SimTime::from_ms(1500.0),
         );
         assert!(transient.all_restored(), "repair heals the only path");
-        let latency = transient.restorations[0].1.unwrap();
+        let latency = transient.groups[0].restorations[0].1.unwrap();
         assert!(
             latency >= SimTime::from_ms(250.0),
             "service was out until the repair: {latency:?}"
@@ -985,12 +706,14 @@ mod tests {
         g.add_link(ids[1], ids[2], 1.0).unwrap();
         let session = ProtoSession::build(&g, ids[0], &[ids[2]], TreeProtocol::Spf).unwrap();
         let scenario = FailureScenario::node(ids[1]);
-        let report = session.run_failure(
+        let report = run(
+            &session,
             &scenario,
             RecoveryStrategy::LocalDetour,
-            SimTime::from_ms(50.0),
+            persistent(50.0),
             SimTime::from_ms(1000.0),
         );
+        let report = &report.groups[0];
         assert_eq!(report.restorations, vec![(ids[2], None)]);
         assert!(!report.all_restored());
         assert!(report.mean_latency_ms().is_none());
@@ -1015,14 +738,16 @@ mod tests {
             session.tree().path_from_source(ids[3]).unwrap().nodes(),
             &[ids[0], ids[1], ids[2], ids[3]]
         );
-        let report = session.run_failure(
+        let report = run(
+            &session,
             &FailureScenario::link(l_bm),
             RecoveryStrategy::GlobalDetour {
                 reconvergence: SimTime::from_ms(800.0),
             },
-            SimTime::from_ms(100.0),
+            persistent(100.0),
             SimTime::from_ms(3000.0),
         );
+        let report = &report.groups[0];
         assert!(
             report.all_restored(),
             "graft must resurrect the pruned branch: {:?}",
@@ -1042,17 +767,18 @@ mod tests {
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let channel = ChannelSpec::uniform_loss(0.1, 0xC0FFEE);
-        let report = session.run_failure_spec(
+        let report = run_on(
+            &session,
             &FailureScenario::link(l_ad),
             RecoveryStrategy::LocalDetour,
-            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
+            persistent(100.0),
             &channel,
             SimTime::from_ms(3000.0),
         );
         assert!(
             report.all_restored(),
             "10% uniform loss must not defeat restoration: {:?}",
-            report.restorations
+            report.groups[0].restorations
         );
         // The reliable layer worked for its living: losses happened and
         // were covered; nothing ran out of budget.
@@ -1070,17 +796,18 @@ mod tests {
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let channel = ChannelSpec::uniform_loss(0.1, 42);
         let run = || {
-            session.run_failure_spec(
+            run_on(
+                &session,
                 &FailureScenario::link(l_ad),
                 RecoveryStrategy::LocalDetour,
-                InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
+                persistent(100.0),
                 &channel,
                 SimTime::from_ms(2000.0),
             )
         };
         let a = run();
         let b = run();
-        assert_eq!(a.restorations, b.restorations);
+        assert_eq!(a.groups[0].restorations, b.groups[0].restorations);
         assert_eq!(a.messages_delivered, b.messages_delivered);
         assert_eq!(a.health, b.health);
     }
@@ -1100,13 +827,14 @@ mod tests {
             up: SimTime::from_ms(400.0),
             cycles: 3,
         };
-        let report = session.run_failure_spec(
+        let report = run(
+            &session,
             &FailureScenario::link(l_sa),
             RecoveryStrategy::LocalDetour,
             timing,
-            &ChannelSpec::perfect(),
             SimTime::from_ms(3000.0),
         );
+        let report = &report.groups[0];
         assert!(
             report.all_restored(),
             "service heals after the flaps: {:?}",
@@ -1162,19 +890,25 @@ mod tests {
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
         let l_ad = graph.link_between(nodes.a, nodes.d).unwrap();
         let scenario = FailureScenario::link(l_ad);
-        let fail_at = SimTime::from_ms(100.0);
         let until = SimTime::from_ms(3000.0);
 
-        let reactive = session.run_failure(
+        let reactive = run(
+            &session,
             &scenario,
             RecoveryStrategy::ReactiveSearch {
                 search: SimTime::from_ms(25.0),
             },
-            fail_at,
+            persistent(100.0),
             until,
         );
-        let protected =
-            session.run_failure(&scenario, RecoveryStrategy::Protection, fail_at, until);
+        let protected = run(
+            &session,
+            &scenario,
+            RecoveryStrategy::Protection,
+            persistent(100.0),
+            until,
+        );
+        let (reactive, protected) = (&reactive.groups[0], &protected.groups[0]);
         assert!(reactive.all_restored(), "{:?}", reactive.restorations);
         assert!(protected.all_restored(), "{:?}", protected.restorations);
         let r = reactive.mean_latency_ms().unwrap();
@@ -1200,14 +934,15 @@ mod tests {
         let (graph, nodes) = paper::figure1_graph();
         let session =
             ProtoSession::build(&graph, nodes.s, &[nodes.c, nodes.d], TreeProtocol::Spf).unwrap();
-        let report = session.run_failure(
+        let report = run(
+            &session,
             &FailureScenario::node(nodes.a),
             RecoveryStrategy::Protection,
-            SimTime::from_ms(100.0),
+            persistent(100.0),
             SimTime::from_ms(3000.0),
         );
-        assert!(report.all_restored(), "{:?}", report.restorations);
-        assert!(report.protection.activations >= 1);
+        assert!(report.all_restored(), "{:?}", report.groups[0].restorations);
+        assert!(report.groups[0].protection.activations >= 1);
         assert_eq!(report.health.retry_exhaustions, 0);
     }
 
@@ -1232,13 +967,14 @@ mod tests {
         // The primary (most conservative) plan must detour via C, not B.
         assert_eq!(chain[0].path, vec![m, c, s]);
         // And the shared-fate failure itself is survived by activation.
-        let report = session.run_failure(
+        let report = run(
+            &session,
             &FailureScenario::links([l_am, l_bm]),
             RecoveryStrategy::Protection,
-            SimTime::from_ms(100.0),
+            persistent(100.0),
             SimTime::from_ms(3000.0),
         );
-        assert!(report.all_restored(), "{:?}", report.restorations);
+        assert!(report.all_restored(), "{:?}", report.groups[0].restorations);
         assert_eq!(report.health.retry_exhaustions, 0);
     }
 
@@ -1253,12 +989,17 @@ mod tests {
         g.add_link(ids[0], ids[1], 1.0).unwrap();
         g.add_link(ids[1], ids[2], 1.0).unwrap();
         let session = ProtoSession::build(&g, ids[0], &[ids[2]], TreeProtocol::Spf).unwrap();
-        let report = session.run_failure_timed(
+        let report = run(
+            &session,
             &FailureScenario::node(ids[2]),
             RecoveryStrategy::LocalDetour,
-            FailureTiming::transient(SimTime::from_ms(100.0), SimTime::from_ms(500.0)),
+            InjectionTiming::Once(FailureTiming::transient(
+                SimTime::from_ms(100.0),
+                SimTime::from_ms(500.0),
+            )),
             SimTime::from_ms(2000.0),
         );
+        let report = &report.groups[0];
         assert!(
             report.all_restored(),
             "refresh must re-extend the pruned branch: {:?}",

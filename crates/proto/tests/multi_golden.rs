@@ -1,16 +1,16 @@
-//! Golden-trace regression test for the canonical Figure 1 experiment
-//! under the multi-session engine.
+//! Golden-trace regression test for the canonical Figure 1 experiment,
+//! run as a single group (M = 1) of the one failure runner.
 //!
-//! The single-group `MultiSession` is contractually the degenerate case
-//! of `ProtoSession::run_failure_spec` — same event order, same recovery,
-//! same latencies. This test pins that down at the message level: the
-//! exact sequence of `Setup` sends after the A–D cut (the local-detour
-//! graft propagating hop by hop) must match a golden transcript, and the
-//! measured restoration latencies must equal the single-session runner's
-//! to the bit. Any change to lane dispatch, timer ordering or reliable
-//! sequencing that perturbs the wire behavior shows up here as a diff.
+//! This test pins the run down at the message level: the exact sequence
+//! of `Setup` sends after the A–D cut (the local-detour graft propagating
+//! hop by hop) must match a golden transcript, and the measured
+//! restoration latencies, message counts and control-plane health must
+//! equal pinned literals to the bit. Any change to lane dispatch, timer
+//! ordering or reliable sequencing that perturbs the wire behavior shows
+//! up here as a diff.
 
 use smrp_core::SmrpConfig;
+use smrp_metrics::ControlHealth;
 use smrp_net::FailureScenario;
 use smrp_proto::{
     FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
@@ -62,14 +62,6 @@ fn figure1_local_detour_trace_is_golden() {
     let until = SimTime::from_ms(3000.0);
     let channel = smrp_sim::ChannelSpec::perfect();
 
-    let single = session.run_failure_spec(
-        &scenario,
-        RecoveryStrategy::LocalDetour,
-        timing,
-        &channel,
-        until,
-    );
-
     let multi = MultiSession::from_sessions(vec![session]);
     let (report, trace) = multi.run_failure_spec_traced(
         &scenario,
@@ -81,10 +73,23 @@ fn figure1_local_detour_trace_is_golden() {
     );
     assert_eq!(trace.discarded(), 0, "trace capacity must hold the run");
 
-    // M=1 equivalence: identical restorations, to the bit.
+    // Member D restores 34 ms after the cut; C never lost service.
     assert_eq!(report.groups.len(), 1);
-    assert_eq!(report.groups[0].restorations, single.restorations);
-    assert!(report.all_restored(), "{:?}", report.groups[0].restorations);
+    assert_eq!(
+        report.groups[0].restorations,
+        vec![(nodes.d, Some(SimTime::from_ns(34_000_000)))]
+    );
+    assert_eq!(report.groups[0].unaffected, vec![nodes.c]);
+    assert_eq!(report.messages_delivered, 3931);
+    assert_eq!(report.messages_dropped, 81);
+    assert_eq!(
+        report.health,
+        ControlHealth {
+            retransmits: 1,
+            acks: 177,
+            ..ControlHealth::default()
+        }
+    );
 
     let actual = setup_sends(&trace, fail_at);
     assert!(

@@ -6,8 +6,11 @@ use smrp_core::recovery;
 use smrp_core::SmrpConfig;
 use smrp_net::waxman::WaxmanConfig;
 use smrp_net::{FailureScenario, Graph, NodeId};
-use smrp_proto::{DynamicSession, ProtoSession, RecoveryStrategy, TreeProtocol};
-use smrp_sim::SimTime;
+use smrp_proto::{
+    DynamicSession, FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy,
+    TreeProtocol,
+};
+use smrp_sim::{ChannelSpec, SimTime};
 
 fn topology(seed: u64) -> Graph {
     WaxmanConfig::new(40)
@@ -113,13 +116,14 @@ fn recovery_after_failure_on_random_topology_restores_all() {
         let link = graph.link_between(ids[0], worst).unwrap();
         let scenario = FailureScenario::link(link);
 
-        let report = session.run_failure(
+        let report = MultiSession::from_sessions(vec![session.clone()]).run_failure_spec(
             &scenario,
             RecoveryStrategy::LocalDetour,
-            SimTime::from_ms(150.0),
+            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(150.0))),
+            &ChannelSpec::perfect(),
             SimTime::from_ms(6000.0),
         );
-        for (m, latency) in &report.restorations {
+        for (m, latency) in &report.groups[0].restorations {
             let algorithmic =
                 recovery::recover(&graph, tree, &scenario, *m, recovery::DetourKind::Local);
             match algorithmic {

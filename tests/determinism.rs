@@ -4,8 +4,10 @@
 
 use smrp_repro::experiments::{fig7, fig8, Effort};
 use smrp_repro::net::waxman::WaxmanConfig;
-use smrp_repro::proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
-use smrp_repro::sim::SimTime;
+use smrp_repro::proto::{
+    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
+};
+use smrp_repro::sim::{ChannelSpec, SimTime};
 
 #[test]
 fn figure7_runs_are_byte_identical() {
@@ -34,19 +36,22 @@ fn protocol_simulations_are_replayable() {
     let session = ProtoSession::build(&graph, ids[0], &members, TreeProtocol::Spf).unwrap();
     let link = session.tree().links(&graph)[0];
     let scenario = smrp_repro::net::FailureScenario::link(link);
+    let multi = MultiSession::from_sessions(vec![session]);
 
     let run = || {
-        session.run_failure(
+        multi.run_failure_spec(
             &scenario,
             RecoveryStrategy::LocalDetour,
-            SimTime::from_ms(100.0),
+            InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(100.0))),
+            &ChannelSpec::perfect(),
             SimTime::from_ms(2000.0),
         )
     };
     let a = run();
     let b = run();
-    assert_eq!(a.restorations.len(), b.restorations.len());
-    for ((ma, la), (mb, lb)) in a.restorations.iter().zip(&b.restorations) {
+    let (ra, rb) = (&a.groups[0].restorations, &b.groups[0].restorations);
+    assert_eq!(ra.len(), rb.len());
+    for ((ma, la), (mb, lb)) in ra.iter().zip(rb) {
         assert_eq!(ma, mb);
         assert_eq!(la.map(SimTime::as_ms), lb.map(SimTime::as_ms));
     }

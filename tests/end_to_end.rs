@@ -5,8 +5,10 @@ use smrp_repro::core::recovery::{self, DetourKind};
 use smrp_repro::core::{SmrpConfig, SmrpSession, SpfSession};
 use smrp_repro::net::waxman::WaxmanConfig;
 use smrp_repro::net::{FailureScenario, NodeId};
-use smrp_repro::proto::{ProtoSession, RecoveryStrategy, TreeProtocol};
-use smrp_repro::sim::SimTime;
+use smrp_repro::proto::{
+    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
+};
+use smrp_repro::sim::{ChannelSpec, SimTime};
 
 fn topology(seed: u64) -> smrp_repro::net::Graph {
     WaxmanConfig::new(60)
@@ -109,19 +111,19 @@ fn protocol_simulation_matches_algorithmic_affectedness() {
         panic!("member has a worst-case link");
     };
     let scenario = FailureScenario::link(link);
-    let report = session.run_failure(
+    let affected = recovery::affected_members(&graph, session.tree(), &scenario);
+    let report = MultiSession::from_sessions(vec![session]).run_failure_spec(
         &scenario,
         RecoveryStrategy::LocalDetour,
-        SimTime::from_ms(150.0),
+        InjectionTiming::Once(FailureTiming::persistent(SimTime::from_ms(150.0))),
+        &ChannelSpec::perfect(),
         SimTime::from_ms(4000.0),
     );
-    let affected = recovery::affected_members(&graph, session.tree(), &scenario);
+    let report = &report.groups[0];
     assert_eq!(report.restorations.len(), affected.len());
     // Everyone the algorithm says is recoverable must actually restore in
     // the message-level simulation.
     for (m, latency) in &report.restorations {
-        let fragment_recoverable = report.restorations.iter().any(|_| true);
-        let _ = fragment_recoverable;
         assert!(
             latency.is_some(),
             "member {m} did not restore at protocol level"
