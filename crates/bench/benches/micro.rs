@@ -10,6 +10,7 @@ use std::hint::black_box;
 
 use smrp_core::recovery::{self, DetourKind};
 use smrp_core::{SmrpConfig, SmrpSession, SpfSession};
+use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::waxman::WaxmanConfig;
 use smrp_net::{dijkstra, FailureScenario, Graph, NodeId};
 
@@ -41,6 +42,19 @@ fn bench_dijkstra(c: &mut Criterion) {
     });
     c.bench_function("dijkstra/full_tree_n100", |b| {
         b.iter(|| dijkstra::ShortestPathTree::compute(black_box(&g), src))
+    });
+    // The BENCH_scale n=4000 shape: large enough that adjacency layout,
+    // not arithmetic, sets the cost of a full tree.
+    let ts = TransitStubConfig::new()
+        .transit_nodes(40)
+        .stubs_per_transit_node(9)
+        .stub_nodes(11)
+        .seed(0x5CA1E + 4_000)
+        .generate()
+        .expect("valid parameters")
+        .into_graph();
+    c.bench_function("dijkstra/full_tree_transit_stub_n4000", |b| {
+        b.iter(|| dijkstra::ShortestPathTree::compute(black_box(&ts), src))
     });
 }
 

@@ -4,8 +4,10 @@
 //! Sweeps n ∈ {400, 4k, 40k} transit-stub topologies × M ∈ {32, 256,
 //! 1024} concurrent multicast groups. Each cell:
 //!
-//! 1. **builds** M shortest-path-tree sessions (timed → join throughput:
-//!    arena-handle tree bookkeeping is the hot path);
+//! 1. **builds** M shortest-path-tree sessions, timing the source SPT
+//!    (`spt_ms`, one full Dijkstra per group and the bulk of the build) and
+//!    the member joins along it (`join_ms`) apart; `sessions_per_sec` is M
+//!    over their sum;
 //! 2. **cuts** one recoverable on-tree link from group 0's member path,
 //!    identifies every group whose tree rides that link, plans each
 //!    affected group's local detour and **audits** it against the
@@ -29,12 +31,11 @@ use std::time::Instant;
 use serde::Serialize;
 use smrp_bench::header;
 use smrp_core::recovery::DetourKind;
+use smrp_core::SpfSession;
 use smrp_faultlab::audit_recovery;
 use smrp_net::transit_stub::TransitStubConfig;
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
-use smrp_proto::{
-    FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, TreeProtocol,
-};
+use smrp_proto::{FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy};
 use smrp_sim::{ChannelSpec, SimTime};
 
 const GROUP_SIZE: usize = 8;
@@ -117,8 +118,9 @@ struct Cell {
     nodes: usize,
     groups: usize,
     group_size: usize,
-    build_ms: f64,
-    joins_per_sec: f64,
+    spt_ms: f64,
+    join_ms: f64,
+    sessions_per_sec: f64,
     affected_groups: usize,
     plan_audit_ms: f64,
     violations: usize,
@@ -143,7 +145,8 @@ fn run_cell(n: usize, m: usize) -> Cell {
     let graph = topology(n);
 
     // Phase 1+2 share one pass so at most one tree is resident per step.
-    let mut build_ms = 0.0;
+    let mut spt_ms = 0.0;
+    let mut join_ms = 0.0;
     let mut plan_audit_ms = 0.0;
     let mut violations = 0usize;
     let mut cut: Option<LinkId> = None;
@@ -151,9 +154,14 @@ fn run_cell(n: usize, m: usize) -> Cell {
     for g in 0..m {
         let (source, members) = group_nodes(n, g);
         let t = Instant::now();
-        let session =
-            ProtoSession::build(&graph, source, &members, TreeProtocol::Spf).expect("connected");
-        build_ms += t.elapsed().as_secs_f64() * 1e3;
+        let mut spf = SpfSession::new(&graph, source).expect("valid source");
+        spt_ms += t.elapsed().as_secs_f64() * 1e3;
+        let t = Instant::now();
+        for &member in &members {
+            spf.join(member).expect("connected");
+        }
+        join_ms += t.elapsed().as_secs_f64() * 1e3;
+        let session = ProtoSession::from_tree(&graph, spf.tree().clone());
 
         let link = *cut.get_or_insert_with(|| recoverable_cut(&graph, &session, members[0]));
         let (a, b) = graph.link(link).endpoints();
@@ -198,8 +206,9 @@ fn run_cell(n: usize, m: usize) -> Cell {
         nodes: n,
         groups: m,
         group_size: GROUP_SIZE,
-        build_ms,
-        joins_per_sec: (m * GROUP_SIZE) as f64 / (build_ms / 1e3),
+        spt_ms,
+        join_ms,
+        sessions_per_sec: m as f64 / ((spt_ms + join_ms) / 1e3),
         affected_groups,
         plan_audit_ms,
         violations,
@@ -240,7 +249,7 @@ fn grid() -> Vec<(usize, usize)> {
 fn main() {
     header(
         "BENCH_scale: n × M sweep over the integer-time wheel engine",
-        "join throughput, detour planning + invariant audit, and shared \
+        "session build (SPT + joins), detour planning + invariant audit, and shared \
          message-level recovery must stay clean as topology and group \
          count scale",
     );
@@ -257,11 +266,12 @@ fn main() {
     for (n, m) in grid() {
         let cell = run_cell(n, m);
         println!(
-            "n={n:<6} M={m:<5} build {build:>9.1} ms ({joins:>9.0} joins/s)   \
+            "n={n:<6} M={m:<5} spt {spt:>9.1} ms  join {join:>7.1} ms ({sps:>8.0} sessions/s)   \
              affected {aff:>3}   sim {sim:>8.1} ms ({msgs:>9.0} msg/s)   \
              restored {res}/{affm}   violations {v}   clean={clean}",
-            build = cell.build_ms,
-            joins = cell.joins_per_sec,
+            spt = cell.spt_ms,
+            join = cell.join_ms,
+            sps = cell.sessions_per_sec,
             aff = cell.affected_groups,
             sim = cell.sim_ms,
             msgs = cell.messages_per_sec,

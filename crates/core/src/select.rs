@@ -28,9 +28,8 @@
 //!   a subset of merge options and is evaluated as an ablation.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-use smrp_net::dijkstra::ShortestPathTree;
+use smrp_net::dijkstra::{Constraints, ShortestPathTree, Visit};
 use smrp_net::{Graph, NodeId, Path};
 
 use crate::error::SmrpError;
@@ -74,32 +73,6 @@ pub struct Selection {
     /// with `within_bound == false` (the paper leaves this case
     /// unspecified; refusing the join would needlessly drop the receiver).
     pub within_bound: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Enumerates all merge candidates for `nr` under `mode`.
@@ -153,72 +126,41 @@ fn sink_constrained_candidates(
     nr: NodeId,
     excluded: &[NodeId],
 ) -> Vec<JoinCandidate> {
-    let n = graph.node_count();
-    let connected = connectivity_mask(tree, n);
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    let mut candidates = Vec::new();
-
     if excluded.contains(&nr) {
-        return candidates;
+        return Vec::new();
     }
-    dist[nr.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: nr,
-    });
-
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
+    let connected = connectivity_mask(tree, graph.node_count());
+    let mut sinks = Vec::new();
+    let visit = |u: NodeId, d: f64| {
+        if u == nr {
+            Visit::Expand
+        } else if is_sink(tree, &connected, u, excluded) {
+            sinks.push((u, d));
+            Visit::Absorb
+        } else if excluded.contains(&u) || (tree.is_on_tree(u) && !connected[u.index()]) {
+            // Excluded and detached on-tree nodes must not relay.
+            Visit::Absorb
+        } else {
+            Visit::Expand
         }
-        done[u.index()] = true;
-        if u != nr && is_sink(tree, &connected, u, excluded) {
-            // Record the candidate and absorb: do not relax outgoing edges.
-            let mut nodes = vec![u];
-            let mut cur = u;
-            while let Some(p) = parent[cur.index()] {
-                nodes.push(p);
-                cur = p;
-            }
-            nodes.reverse(); // now NR -> ... -> u
-            let approach = Path::new(nodes);
+    };
+    let (spt, _) = ShortestPathTree::search(graph, nr, Constraints::unrestricted(), visit);
+    // Settled parent chains are final, so the approaches read off after the
+    // search are the ones each sink settled with.
+    sinks
+        .into_iter()
+        .map(|(u, d)| {
             let tree_delay = tree
                 .delay_to(graph, u)
                 .expect("sink is connected to the source");
-            candidates.push(JoinCandidate {
+            JoinCandidate {
                 merger: u,
+                approach: spt.path_to(u).expect("a settled sink has a path"),
                 total_delay: tree_delay + d,
-                approach,
                 shr: tree.shr(u),
-            });
-            continue;
-        }
-        // An excluded node may not be traversed at all.
-        if u != nr && excluded.contains(&u) {
-            continue;
-        }
-        // A detached/on-tree-but-unconnected node also must not relay.
-        if u != nr && tree.is_on_tree(u) && !connected[u.index()] {
-            continue;
-        }
-        for &(v, l) in graph.adjacency(u) {
-            if done[v.index()] {
-                continue;
             }
-            let nd = d + graph.link(l).delay();
-            if nd < dist[v.index()]
-                || (nd == dist[v.index()] && parent[v.index()].is_some_and(|p| u < p))
-            {
-                dist[v.index()] = nd;
-                parent[v.index()] = Some(u);
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
-        }
-    }
-    candidates
+        })
+        .collect()
 }
 
 /// §3.3.1 query scheme: each neighbor forwards the query along its own

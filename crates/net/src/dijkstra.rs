@@ -1,12 +1,15 @@
 //! Dijkstra shortest-path machinery.
 //!
-//! Three query styles are provided, matching what the SMRP algorithms need:
+//! Every shortest-path search in the workspace runs through one kernel,
+//! [`ShortestPathTree::search`], which asks a per-node [`Visit`] decision
+//! as each node settles. The query styles the SMRP algorithms need are
+//! thin wrappers over it:
 //!
 //! * [`shortest_path`] / [`shortest_path_constrained`] — point-to-point
 //!   shortest path by delay, optionally under a [`FailureScenario`] and
 //!   forbidden-node/link sets (used for detour paths that must avoid the
 //!   faulty component, and for merger-candidate paths that must not cross
-//!   other on-tree nodes);
+//!   other on-tree nodes); the search stops when the destination settles;
 //! * [`ShortestPathTree`] — full single-source tree with path extraction
 //!   (used by the SPF baseline protocol and by the neighbor-query scheme);
 //! * [`shortest_path_to_any`] — shortest path from a source to the nearest
@@ -15,8 +18,25 @@
 //!
 //! All ties are broken deterministically (lower node id wins), so results
 //! are stable across runs for a fixed topology.
+//!
+//! # Kernel invariants
+//!
+//! The heap holds one `u128` per entry, `(dist.to_bits() << 32) | node`.
+//! For the non-negative finite distances Dijkstra produces, the bit
+//! pattern of an `f64` orders like its value, so the key orders by
+//! `(dist, node id)`. A node is pushed only when its distance strictly
+//! drops, so the entry whose distance equals `dist[u]` is unique and an
+//! entry with a larger distance is stale; no `done` array is needed. On an
+//! equal-distance tie with a lower-id parent only `parent` changes: the
+//! node is still queued under that very key, so a second push would only
+//! be popped as a duplicate. A settled node has `dist ≤ d` and link delays
+//! are positive, so relaxing from distance `d` can reach it only when the
+//! delay is lost to rounding (`d + w == d`); ties are refused in that case,
+//! which keeps every settled node's parent chain final and acyclic.
+//! Distances always equal those of a search with a `done` array and a
+//! push per tie, and parents do too unless some delay rounds away.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::failure::FailureScenario;
@@ -73,35 +93,29 @@ impl<'a> Constraints<'a> {
     }
 }
 
-/// Heap entry ordered for a min-heap over (distance, node id).
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+/// What [`ShortestPathTree::search`] does with a node as it settles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visit {
+    /// Relax the node's links.
+    Expand,
+    /// Keep the node's distance and parent, but relax none of its links.
+    Absorb,
+    /// End the search here.
+    Stop,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
+/// Min-heap key ordered by `(dist, node)`; see the module docs.
+#[inline]
+fn key(dist: f64, node: NodeId) -> Reverse<u128> {
+    Reverse(u128::from(dist.to_bits()) << 32 | node.index() as u128)
 }
-impl Eq for HeapEntry {}
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse on distance for a min-heap; lower node id wins ties so
-        // exploration order (and therefore tie-broken paths) is
-        // deterministic.
-        other
-            .dist
-            .total_cmp(&self.dist)
-            .then_with(|| other.node.cmp(&self.node))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+#[inline]
+fn unkey(Reverse(k): Reverse<u128>) -> (f64, NodeId) {
+    (
+        f64::from_bits((k >> 32) as u64),
+        NodeId::new(k as u32 as usize),
+    )
 }
 
 /// A single-source shortest-path tree by link delay.
@@ -145,14 +159,34 @@ impl ShortestPathTree {
         source: NodeId,
         constraints: Constraints<'_>,
     ) -> Self {
+        Self::search(graph, source, constraints, |_, _| Visit::Expand).0
+    }
+
+    /// The Dijkstra kernel: searches from `source` under `constraints`,
+    /// calling `visit(node, dist)` once per node as it settles, in
+    /// `(dist, node id)` order.
+    ///
+    /// Returns the (possibly partial) tree and the node whose visit
+    /// returned [`Visit::Stop`], if any. Entries of settled nodes are
+    /// final; a node that was reached but not settled keeps a tentative
+    /// distance and parent. A forbidden source settles nothing.
+    pub fn search<V>(
+        graph: &Graph,
+        source: NodeId,
+        constraints: Constraints<'_>,
+        visit: V,
+    ) -> (Self, Option<NodeId>)
+    where
+        V: FnMut(NodeId, f64) -> Visit,
+    {
         let n = graph.node_count();
         let mut spt = ShortestPathTree {
             source,
             dist: vec![f64::INFINITY; n],
             parent: vec![None; n],
         };
-        spt.recompute_constrained(graph, constraints);
-        spt
+        let stopped = spt.run(graph, constraints, visit);
+        (spt, stopped)
     }
 
     /// Re-runs Dijkstra from the same source, reusing this tree's buffers.
@@ -163,44 +197,63 @@ impl ShortestPathTree {
     /// the set of usable links/nodes changes — e.g. when a
     /// [`FailureScenario`] strikes — so no stale routing state survives.
     pub fn recompute_constrained(&mut self, graph: &Graph, constraints: Constraints<'_>) {
-        let n = graph.node_count();
-        assert_eq!(n, self.dist.len(), "graph size changed under the SPT");
+        assert_eq!(
+            graph.node_count(),
+            self.dist.len(),
+            "graph size changed under the SPT"
+        );
         self.dist.fill(f64::INFINITY);
         self.parent.fill(None);
-        let mut done = vec![false; n];
-        let mut heap = BinaryHeap::new();
+        self.run(graph, constraints, |_, _| Visit::Expand);
+    }
 
-        if constraints.node_allowed(self.source) {
-            self.dist[self.source.index()] = 0.0;
-            heap.push(HeapEntry {
-                dist: 0.0,
-                node: self.source,
-            });
+    /// The kernel loop over cleared buffers; see [`ShortestPathTree::search`].
+    fn run<V>(
+        &mut self,
+        graph: &Graph,
+        constraints: Constraints<'_>,
+        mut visit: V,
+    ) -> Option<NodeId>
+    where
+        V: FnMut(NodeId, f64) -> Visit,
+    {
+        if !constraints.node_allowed(self.source) {
+            return None;
         }
+        let (dist, parent) = (&mut self.dist[..], &mut self.parent[..]);
+        let mut heap = BinaryHeap::new();
+        dist[self.source.index()] = 0.0;
+        heap.push(key(0.0, self.source));
 
-        while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-            if done[u.index()] {
-                continue;
+        while let Some(entry) = heap.pop() {
+            let (d, u) = unkey(entry);
+            if d > dist[u.index()] {
+                continue; // stale
             }
-            done[u.index()] = true;
-            for &(v, l) in graph.adjacency(u) {
-                if done[v.index()]
-                    || !constraints.node_allowed(v)
-                    || !constraints.link_allowed(graph, l)
-                {
+            match visit(u, d) {
+                Visit::Expand => {}
+                Visit::Absorb => continue,
+                Visit::Stop => return Some(u),
+            }
+            let (arcs, delays) = graph.arcs_with_delay(u);
+            for (&(v, l), &w) in arcs.iter().zip(delays) {
+                if !constraints.node_allowed(v) || !constraints.link_allowed(graph, l) {
                     continue;
                 }
-                let nd = d + graph.link(l).delay();
-                let slot = &mut self.dist[v.index()];
-                // Deterministic tie-break: on equal distance keep the parent
-                // with the lower node id.
-                if nd < *slot || (nd == *slot && self.parent[v.index()].is_some_and(|p| u < p)) {
+                let nd = d + w;
+                let slot = &mut dist[v.index()];
+                if nd < *slot {
                     *slot = nd;
-                    self.parent[v.index()] = Some(u);
-                    heap.push(HeapEntry { dist: nd, node: v });
+                    parent[v.index()] = Some(u);
+                    heap.push(key(nd, v));
+                } else if nd == *slot && nd > d && parent[v.index()].is_some_and(|p| u < p) {
+                    // Deterministic tie-break: on equal distance keep the
+                    // parent with the lower node id.
+                    parent[v.index()] = Some(u);
                 }
             }
         }
+        None
     }
 
     /// The source node this tree was computed from.
@@ -256,22 +309,22 @@ pub fn shortest_path(graph: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
 
 /// Point-to-point shortest path under constraints.
 ///
-/// Returns `None` when `dst` is unreachable under the constraints.
+/// Returns `None` when `dst` is unreachable under the constraints. The
+/// search stops as soon as `dst` settles.
 pub fn shortest_path_constrained(
     graph: &Graph,
     src: NodeId,
     dst: NodeId,
     constraints: Constraints<'_>,
 ) -> Option<Path> {
-    if src == dst {
-        return constraints.node_allowed(src).then(|| Path::trivial(src));
-    }
-    ShortestPathTree::compute_constrained(graph, src, constraints).path_to(dst)
+    shortest_path_to_any(graph, src, constraints, |n| n == dst)
 }
 
 /// Shortest distance between two nodes, or `None` if disconnected.
 pub fn distance(graph: &Graph, src: NodeId, dst: NodeId) -> Option<f64> {
-    ShortestPathTree::compute(graph, src).distance(dst)
+    let stop = |n: NodeId, _| if n == dst { Visit::Stop } else { Visit::Expand };
+    let (spt, hit) = ShortestPathTree::search(graph, src, Constraints::unrestricted(), stop);
+    hit.and_then(|t| spt.distance(t))
 }
 
 /// Shortest path from `src` to the nearest node for which `is_target`
@@ -289,58 +342,17 @@ pub fn shortest_path_to_any<F>(
 where
     F: FnMut(NodeId) -> bool,
 {
-    if !constraints.node_allowed(src) {
-        return None;
-    }
-    if is_target(src) {
-        return Some(Path::trivial(src));
-    }
-    let n = graph.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: src,
-    });
-
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        if done[u.index()] {
-            continue;
+    // Settled order is by distance, so the first settled target is the
+    // nearest one.
+    let stop = |n, _| {
+        if is_target(n) {
+            Visit::Stop
+        } else {
+            Visit::Expand
         }
-        done[u.index()] = true;
-        if u != src && is_target(u) {
-            // Settled order is by distance, so the first settled target is
-            // the nearest one.
-            let mut nodes = vec![u];
-            let mut cur = u;
-            while let Some(p) = parent[cur.index()] {
-                nodes.push(p);
-                cur = p;
-            }
-            nodes.reverse();
-            return Some(Path::new(nodes));
-        }
-        for &(v, l) in graph.adjacency(u) {
-            if done[v.index()]
-                || !constraints.node_allowed(v)
-                || !constraints.link_allowed(graph, l)
-            {
-                continue;
-            }
-            let nd = d + graph.link(l).delay();
-            if nd < dist[v.index()]
-                || (nd == dist[v.index()] && parent[v.index()].is_some_and(|p| u < p))
-            {
-                dist[v.index()] = nd;
-                parent[v.index()] = Some(u);
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
-        }
-    }
-    None
+    };
+    let (spt, hit) = ShortestPathTree::search(graph, src, constraints, stop);
+    hit.and_then(|t| spt.path_to(t))
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@
 //!   distances, so the experiments run on *real* router-level structure
 //!   out of the box.
 
+use std::collections::HashSet;
+
 use crate::error::NetError;
-use crate::graph::{Graph, LinkWeights};
+use crate::graph::{Graph, GraphBuilder, LinkWeights};
 use crate::ids::NodeId;
 
 /// Parses a whitespace-separated edge list into a graph.
@@ -79,11 +81,16 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, NetError> {
         max_node = max_node.max(u).max(v);
         edges.push((u, v, delay, cost));
     }
-    let mut graph = Graph::with_nodes(max_node + 1);
+    let mut graph = GraphBuilder::with_nodes(max_node + 1);
+    let mut seen = HashSet::with_capacity(edges.len());
     for (u, v, delay, cost) in edges {
-        graph.add_link_weighted(NodeId::new(u), NodeId::new(v), LinkWeights { delay, cost })?;
+        let (a, b) = (NodeId::new(u), NodeId::new(v));
+        graph.add_link_weighted(a, b, LinkWeights { delay, cost })?;
+        if !seen.insert((u.min(v), u.max(v))) {
+            return Err(NetError::DuplicateLink(a, b));
+        }
     }
-    Ok(graph)
+    Ok(graph.build())
 }
 
 /// The Abilene (Internet2) research backbone: 11 PoPs, 14 links.

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphBuilder};
 use crate::ids::{LinkId, NodeId};
 use crate::transit_stub::DomainId;
 use crate::transit_stub::{DomainKind, TransitStubTopology};
@@ -209,7 +209,7 @@ impl NLevelConfig {
     pub fn generate(&self) -> Result<NLevelTopology, NetError> {
         self.validate()?;
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut graph = Graph::new();
+        let mut graph = GraphBuilder::new();
         let mut domains: Vec<LevelDomain> = Vec::new();
 
         let root_nodes: Vec<NodeId> = (0..self.root_nodes).map(|_| graph.add_node()).collect();
@@ -295,9 +295,9 @@ impl NLevelConfig {
                 let lo = self.base_delay.1 * 0.5f64.powi(level as i32);
                 let hi = self.base_delay.0 * 0.5f64.powi(level as i32 - 1);
                 let gw = if lo < hi { rng.gen_range(lo..hi) } else { lo };
-                if graph.link_between(b2, up2).is_none() {
-                    graph.add_link(b2, up2, gw).expect("fresh backup gateway");
-                }
+                // The only link between this domain and its parent so far
+                // is the primary gateway, and `b2` is not its border.
+                graph.add_link(b2, up2, gw).expect("fresh backup gateway");
                 domains[di].backups.push((b2, up2));
             }
         }
@@ -347,7 +347,7 @@ impl NLevelConfig {
             }
         }
         Ok(NLevelTopology {
-            graph,
+            graph: graph.build(),
             domains,
             node_domain,
             depth,
@@ -356,9 +356,10 @@ impl NLevelConfig {
     }
 }
 
-/// Random connected subgraph: spanning tree plus chords.
+/// Random connected subgraph over fresh `nodes`: spanning tree plus chords
+/// (a chord can only duplicate a spanning-tree edge).
 fn connect_domain(
-    graph: &mut Graph,
+    graph: &mut GraphBuilder,
     nodes: &[NodeId],
     delay: (f64, f64),
     extra_edge_prob: f64,
@@ -371,14 +372,17 @@ fn connect_domain(
             delay.0
         }
     };
+    let mut tree_parent = vec![usize::MAX; nodes.len()];
     for (i, &n) in nodes.iter().enumerate().skip(1) {
-        let parent = nodes[rng.gen_range(0..i)];
+        tree_parent[i] = rng.gen_range(0..i);
         let d = sample(rng);
-        graph.add_link(n, parent, d).expect("fresh spanning edge");
+        graph
+            .add_link(n, nodes[tree_parent[i]], d)
+            .expect("fresh spanning edge");
     }
     for i in 0..nodes.len() {
         for j in (i + 1)..nodes.len() {
-            if graph.link_between(nodes[i], nodes[j]).is_some() {
+            if tree_parent[j] == i {
                 continue;
             }
             if rng.gen::<f64>() < extra_edge_prob {

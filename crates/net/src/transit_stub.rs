@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::error::NetError;
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphBuilder};
 use crate::ids::NodeId;
 
 /// Identifier of a recovery domain inside a [`TransitStubTopology`].
@@ -202,7 +202,7 @@ impl TransitStubConfig {
     pub fn generate(&self) -> Result<TransitStubTopology, NetError> {
         self.validate()?;
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut graph = Graph::new();
+        let mut graph = GraphBuilder::new();
         let mut domains = Vec::new();
 
         // Transit domain.
@@ -255,7 +255,7 @@ impl TransitStubConfig {
         }
 
         Ok(TransitStubTopology {
-            graph,
+            graph: graph.build(),
             domains,
             node_domain,
         })
@@ -271,26 +271,29 @@ fn sample_delay(range: (f64, f64), rng: &mut SmallRng) -> f64 {
 }
 
 /// Connects `nodes` into a random connected subgraph: a random spanning tree
-/// plus chords drawn with `extra_edge_prob`.
+/// plus chords drawn with `extra_edge_prob`. The nodes must be fresh (no
+/// links yet), so the spanning tree is the only thing a chord can
+/// duplicate.
 fn connect_domain(
-    graph: &mut Graph,
+    graph: &mut GraphBuilder,
     nodes: &[NodeId],
     delay: (f64, f64),
     extra_edge_prob: f64,
     rng: &mut SmallRng,
 ) {
     // Random spanning tree: attach each node to a random earlier node.
+    let mut tree_parent = vec![usize::MAX; nodes.len()];
     for (i, &n) in nodes.iter().enumerate().skip(1) {
-        let parent = nodes[rng.gen_range(0..i)];
+        tree_parent[i] = rng.gen_range(0..i);
         let d = sample_delay(delay, rng);
         graph
-            .add_link(n, parent, d)
-            .expect("spanning-tree edges are fresh");
+            .add_link(n, nodes[tree_parent[i]], d)
+            .expect("spanning-tree edges are valid");
     }
     // Extra chords.
     for i in 0..nodes.len() {
         for j in (i + 1)..nodes.len() {
-            if graph.link_between(nodes[i], nodes[j]).is_some() {
+            if tree_parent[j] == i {
                 continue;
             }
             if rng.gen::<f64>() < extra_edge_prob {

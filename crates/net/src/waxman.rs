@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::NetError;
 use crate::geometry::{max_pairwise_distance, Point};
-use crate::graph::{Graph, LinkWeights};
+use crate::graph::{Graph, GraphBuilder, LinkWeights};
 use crate::ids::{LinkId, NodeId};
 use crate::traversal::{connected_components, is_connected};
 
@@ -178,7 +178,7 @@ impl WaxmanConfig {
 
     /// Draws one (possibly disconnected) Waxman sample.
     fn sample(&self, rng: &mut SmallRng) -> (Graph, Vec<Point>) {
-        let mut graph = Graph::new();
+        let mut graph = GraphBuilder::new();
         let mut points = Vec::with_capacity(self.nodes);
         for _ in 0..self.nodes {
             let p = Point::new(rng.gen::<f64>(), rng.gen::<f64>());
@@ -197,7 +197,7 @@ impl WaxmanConfig {
                 }
             }
         }
-        (graph, points)
+        (graph.build(), points)
     }
 
     fn link_delay(&self, euclidean: f64) -> f64 {
