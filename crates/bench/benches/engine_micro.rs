@@ -7,12 +7,16 @@
 //! in place), a message-level join handshake, and the full Figure 1
 //! recovery experiment under both timer backends. The wheel-vs-heap pair
 //! is the trajectory number: identical semantics (see the
-//! backend-equivalence tests), different dispatch cost.
+//! backend-equivalence tests), different dispatch cost. The steady-state
+//! case runs the `campaign-mix` session shape and prints the engine's
+//! cost per delivered message.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use smrp_core::SmrpConfig;
+use smrp_faultlab::CampaignConfig;
 use smrp_net::{FailureScenario, Graph, NodeId};
 use smrp_proto::{
     FailureTiming, InjectionTiming, MultiSession, ProtoSession, RecoveryStrategy, Router,
@@ -132,9 +136,48 @@ fn bench_recovery_run(c: &mut Criterion) {
     }
 }
 
+/// Steady state on the `campaign-mix` shape: Waxman n=400, α=0.2, one
+/// 30-member SMRP tree, 2 s of simulated hellos, refreshes and data with
+/// no failure. Every delivered message is one heap pop, one handler call
+/// and the sends and timers it issues, so wall time per delivered message
+/// is the engine's per-event cost.
+fn bench_steady_state(c: &mut Criterion) {
+    let cfg = CampaignConfig {
+        nodes: 400,
+        group_size: 30,
+        alpha: 0.2,
+        ..CampaignConfig::default()
+    };
+    let graph = cfg.topology().unwrap();
+    let (source, members) = cfg.pick_members(&graph);
+    let session = ProtoSession::build(
+        &graph,
+        source,
+        &members,
+        TreeProtocol::Smrp(SmrpConfig::default()),
+    )
+    .unwrap();
+    let multi = MultiSession::from_sessions(vec![session]);
+    let (mut busy, mut delivered) = (Duration::ZERO, 0u64);
+    c.bench_function("engine/steady_waxman400_g30_2s", |b| {
+        b.iter(|| {
+            let start = Instant::now();
+            let report = multi.run_steady(SimTime::from_ms(2000.0));
+            busy += start.elapsed();
+            delivered += report.messages_delivered;
+            black_box(report.data_delivered)
+        })
+    });
+    println!(
+        "{:<45} {:>10.1} ns/delivered msg ({delivered} msgs)",
+        "engine/steady_waxman400_g30_2s",
+        busy.as_nanos() as f64 / delivered as f64
+    );
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_wheel_churn, bench_protocol_join, bench_recovery_run
+    targets = bench_wheel_churn, bench_protocol_join, bench_recovery_run, bench_steady_state
 }
 criterion_main!(benches);

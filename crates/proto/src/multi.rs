@@ -273,6 +273,8 @@ pub struct OverheadReport {
     pub data_forwarded: u64,
     /// Number of on-tree router lanes carrying state.
     pub on_tree_nodes: usize,
+    /// Messages of every kind the simulator delivered in the window.
+    pub messages_delivered: u64,
 }
 
 impl OverheadReport {
@@ -419,6 +421,7 @@ impl<'g> MultiSession<'g> {
                 .iter()
                 .map(|s| s.tree().on_tree_nodes().count())
                 .sum(),
+            messages_delivered: report.messages_delivered,
         }
     }
 

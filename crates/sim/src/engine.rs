@@ -2,6 +2,7 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use smrp_net::{FailureScenario, Graph, LinkId, NodeId};
 
@@ -37,6 +38,32 @@ impl TimerToken {
         self.0
     }
 }
+
+/// Hasher for timer tokens. Tokens are sequential and never reused, so
+/// SipHash's resistance to chosen keys buys nothing; one multiply by an odd
+/// 64-bit constant (Fibonacci hashing) maps consecutive tokens to distinct
+/// low bits and mixes them into the high bits the table also reads.
+#[derive(Default)]
+struct TokenHasher(u64);
+
+const FIBONACCI: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for TokenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Tokens hash through `write_u64`; this keeps the hasher total.
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(FIBONACCI);
+    }
+}
+
+type TokenHash = BuildHasherDefault<TokenHasher>;
 
 /// Which structure carries timer events.
 ///
@@ -130,7 +157,8 @@ pub enum NodeCommand<M, T> {
 ///
 /// Collects the handler's outputs (sends, timers) and exposes read-only
 /// simulation state; the engine applies the outputs after the handler
-/// returns.
+/// returns. A context handed out by [`NetSim`] collects into a buffer the
+/// simulator lends it for the call, so handlers allocate nothing to emit.
 pub struct Ctx<'a, N: NodeBehavior> {
     now: SimTime,
     me: NodeId,
@@ -370,10 +398,13 @@ pub struct NetSim<'g, N: NodeBehavior, O = TraceLog> {
     next_token: Cell<u64>,
     /// Wheel backend: token → wheel handle, for cancellation. Entries are
     /// removed when the timer fires or is cancelled.
-    timer_handles: HashMap<u64, TimerHandle>,
+    timer_handles: HashMap<u64, TimerHandle, TokenHash>,
     /// Reference backend: tokens cancelled before firing; the heap entry
     /// is filtered when it surfaces.
-    cancelled_tokens: HashSet<u64>,
+    cancelled_tokens: HashSet<u64, TokenHash>,
+    /// The command buffer lent to every handler's [`Ctx`]; empty between
+    /// calls, it keeps its capacity from one handler to the next.
+    commands: Vec<NodeCommand<N::Msg, N::Timer>>,
     now: SimTime,
     failures: FailureScenario,
     processing_delay: SimTime,
@@ -428,8 +459,9 @@ impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
             backend: TimerBackend::default(),
             seq: 0,
             next_token: Cell::new(0),
-            timer_handles: HashMap::new(),
-            cancelled_tokens: HashSet::new(),
+            timer_handles: HashMap::default(),
+            cancelled_tokens: HashSet::default(),
+            commands: Vec::new(),
             now: SimTime::ZERO,
             failures: FailureScenario::none(),
             processing_delay: SimTime::ZERO,
@@ -464,6 +496,12 @@ impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
         let s = self.seq;
         self.seq += 1;
         s
+    }
+
+    /// Puts `event` on the heap at `at`, under the next global sequence.
+    fn schedule(&mut self, at: SimTime, event: SimEvent<N::Msg, N::Timer>) {
+        let seq = self.next_seq();
+        self.queue.schedule_keyed(at, seq, event);
     }
 
     /// Installs a degraded channel; subsequent sends pass through it.
@@ -532,14 +570,12 @@ impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
 
     /// Schedules a link failure at absolute time `at`.
     pub fn schedule_link_failure(&mut self, at: SimTime, link: LinkId) {
-        let seq = self.next_seq();
-        self.queue.schedule_keyed(at, seq, SimEvent::FailLink(link));
+        self.schedule(at, SimEvent::FailLink(link));
     }
 
     /// Schedules a node failure at absolute time `at`.
     pub fn schedule_node_failure(&mut self, at: SimTime, node: NodeId) {
-        let seq = self.next_seq();
-        self.queue.schedule_keyed(at, seq, SimEvent::FailNode(node));
+        self.schedule(at, SimEvent::FailNode(node));
     }
 
     /// Schedules a link repair at absolute time `at` — models *transient*
@@ -547,18 +583,14 @@ impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
     /// the paper's persistent cuts. Messages sent while the link was down
     /// stay lost; traffic sent after the repair flows normally.
     pub fn schedule_link_repair(&mut self, at: SimTime, link: LinkId) {
-        let seq = self.next_seq();
-        self.queue
-            .schedule_keyed(at, seq, SimEvent::RepairLink(link));
+        self.schedule(at, SimEvent::RepairLink(link));
     }
 
     /// Schedules a node repair at absolute time `at`. The node resumes
     /// forwarding on the next message it receives; timers that elapsed
     /// while it was down are gone (a rebooted router restarts cold).
     pub fn schedule_node_repair(&mut self, at: SimTime, node: NodeId) {
-        let seq = self.next_seq();
-        self.queue
-            .schedule_keyed(at, seq, SimEvent::RepairNode(node));
+        self.schedule(at, SimEvent::RepairNode(node));
     }
 
     /// Runs `f` against a node with a live [`Ctx`], applying any sends and
@@ -570,12 +602,13 @@ impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
             me: id,
             graph: self.graph,
             failures: &self.failures,
-            commands: Vec::new(),
+            commands: std::mem::take(&mut self.commands),
             next_token: &self.next_token,
         };
         f(&mut self.nodes[id.index()], &mut ctx);
-        let commands = ctx.commands;
-        self.apply(id, commands);
+        let mut commands = ctx.commands;
+        self.apply(id, &mut commands);
+        self.commands = commands;
     }
 
     /// The single drop site: counts the drop under its cause and reports
@@ -585,8 +618,9 @@ impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
         self.observer.on_drop(time, from, to, reason);
     }
 
-    fn apply(&mut self, from: NodeId, commands: Vec<NodeCommand<N::Msg, N::Timer>>) {
-        for c in commands {
+    /// Applies and drains the commands a handler on `from` issued.
+    fn apply(&mut self, from: NodeId, commands: &mut Vec<NodeCommand<N::Msg, N::Timer>>) {
+        for c in commands.drain(..) {
             match c {
                 NodeCommand::Send { to, msg } => {
                     if !self.failures.node_usable(from) {
@@ -598,32 +632,33 @@ impl<'g, N: NodeBehavior, O: SimObserver<N>> NetSim<'g, N, O> {
                         continue;
                     };
                     self.observer.on_send(self.now, from, to, &msg);
-                    // The degraded channel may lose the message, duplicate
-                    // it, or stretch its delay; a perfect channel delivers
-                    // exactly one copy with no extra delay.
-                    let extra_delays_ms = match &mut self.channel {
-                        Some(ch) => ch.transmit(link, N::classify(&msg)).extra_delays_ms,
-                        None => vec![0.0],
+                    let at = self.now
+                        + SimTime::from_ms(self.graph.link(link).delay())
+                        + self.processing_delay;
+                    let deliver = move |msg| SimEvent::Deliver {
+                        from,
+                        to,
+                        link,
+                        msg,
                     };
-                    if extra_delays_ms.is_empty() {
+                    // A perfect channel delivers exactly one copy with no
+                    // extra delay: the message moves into it.
+                    let Some(channel) = &mut self.channel else {
+                        self.schedule(at, deliver(msg));
+                        continue;
+                    };
+                    // The degraded channel may lose the message, duplicate
+                    // it, or stretch its delay; the last copy takes the
+                    // message itself.
+                    let transmit = channel.transmit(link, N::classify(&msg));
+                    let Some((&last, copies)) = transmit.extra_delays_ms().split_last() else {
                         self.drop_msg(self.now, from, to, DropReason::ChannelLoss);
                         continue;
+                    };
+                    for &extra in copies {
+                        self.schedule(at + SimTime::from_ms(extra), deliver(msg.clone()));
                     }
-                    let base =
-                        SimTime::from_ms(self.graph.link(link).delay()) + self.processing_delay;
-                    for extra in extra_delays_ms {
-                        let seq = self.next_seq();
-                        self.queue.schedule_keyed(
-                            self.now + base + SimTime::from_ms(extra),
-                            seq,
-                            SimEvent::Deliver {
-                                from,
-                                to,
-                                link,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
+                    self.schedule(at + SimTime::from_ms(last), deliver(msg));
                 }
                 NodeCommand::Timer {
                     delay,
@@ -1222,6 +1257,117 @@ mod tests {
         assert_eq!(sim.node(ids[1]).received, 2, "duplicate arrives too");
         // The ping and the echoed pong each picked up one duplicate.
         assert_eq!(sim.channel_stats().unwrap().duplicated, 2);
+
+        // Both copies carry the sent payload, and making the second copy
+        // costs exactly one clone.
+        let mut sim = NetSim::new(&g, recorders(&g));
+        sim.set_channel(Some(ChannelModel::new(&spec)));
+        let base = clones();
+        sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Payload(vec![7, 8, 9])));
+        sim.run_to_completion(10);
+        assert_eq!(clones() - base, 1, "only the duplicate is a clone");
+        let got = &sim.node(ids[1]).got;
+        assert_eq!(got.len(), 2);
+        assert!(got.iter().all(|m| *m == (ids[0], Payload(vec![7, 8, 9]))));
+    }
+
+    /// Records what arrives; its messages count their clones.
+    #[derive(Default)]
+    struct Recorder {
+        got: Vec<(NodeId, Payload)>,
+        timers: Vec<u32>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Payload(Vec<u32>);
+
+    thread_local! {
+        static CLONES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    impl Clone for Payload {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Payload(self.0.clone())
+        }
+    }
+
+    /// `Payload` clones made so far on this test's thread.
+    fn clones() -> u64 {
+        CLONES.with(Cell::get)
+    }
+
+    impl NodeBehavior for Recorder {
+        type Msg = Payload;
+        type Timer = u32;
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, from: NodeId, msg: Payload) {
+            self.got.push((from, msg));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, timer: u32) {
+            self.timers.push(timer);
+        }
+    }
+
+    fn recorders(g: &Graph) -> Vec<Recorder> {
+        (0..g.node_count()).map(|_| Recorder::default()).collect()
+    }
+
+    #[test]
+    fn perfect_channel_moves_each_message() {
+        let (g, ids) = line_graph();
+        let mut sim = NetSim::new(&g, recorders(&g));
+        let base = clones();
+        sim.with_node(ids[1], |_, ctx| {
+            for i in 0..8 {
+                ctx.send(ids[i % 2 * 2], Payload(vec![i as u32]));
+            }
+        });
+        sim.run_to_completion(100);
+        assert_eq!(clones() - base, 0, "a perfect channel clones nothing");
+        assert_eq!(sim.delivered_count(), 8);
+    }
+
+    /// One handler fills the lent buffer past what it held before, the
+    /// next issues nothing: every command is applied exactly once, and
+    /// nothing left over from the big handler is replayed for the empty
+    /// ones.
+    #[test]
+    fn lent_buffer_grows_then_drains_empty() {
+        let (g, ids) = line_graph();
+        let mut sim = NetSim::new(&g, recorders(&g));
+        sim.with_node(ids[0], |_, ctx| ctx.send(ids[1], Payload(vec![100])));
+        let mut cancelled = None;
+        sim.with_node(ids[1], |_, ctx| {
+            for i in 0..40u32 {
+                let to = if i % 2 == 0 { ids[0] } else { ids[2] };
+                ctx.send(to, Payload(vec![i]));
+            }
+            for t in 0..10u32 {
+                let token = ctx.set_timer(SimTime::from_ms(1.0 + f64::from(t)), t);
+                if t == 3 {
+                    cancelled = Some(token);
+                }
+            }
+            ctx.cancel_timer(cancelled.unwrap());
+        });
+        sim.with_node(ids[2], |_, _| {});
+        sim.with_node(ids[1], |_, _| {});
+        sim.run_to_completion(1_000);
+
+        let from_n1 = |evens: bool| -> Vec<(NodeId, Payload)> {
+            (0..40u32)
+                .filter(|i| (i % 2 == 0) == evens)
+                .map(|i| (ids[1], Payload(vec![i])))
+                .collect()
+        };
+        assert_eq!(sim.node(ids[0]).got, from_n1(true));
+        assert_eq!(sim.node(ids[2]).got, from_n1(false));
+        assert_eq!(sim.node(ids[1]).got, vec![(ids[0], Payload(vec![100]))]);
+        let fired: Vec<u32> = (0..10).filter(|&t| t != 3).collect();
+        assert_eq!(sim.node(ids[1]).timers, fired);
+        assert!(sim.node(ids[0]).timers.is_empty() && sim.node(ids[2]).timers.is_empty());
+        assert_eq!(sim.delivered_count(), 41);
+        assert_eq!(sim.dropped_count(), 0);
     }
 
     #[test]
